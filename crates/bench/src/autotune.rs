@@ -42,12 +42,12 @@ use vip_kernels::cnn::ConvLayer;
 use vip_kernels::schedule::{
     BpSchedule, ConvSchedule, FcSchedule, KernelShape, Schedule, SearchSpace,
 };
+use vip_kernels::schedule_store;
 use vip_mem::MemConfig;
 use vip_rng::SplitMix64;
 
 use crate::experiments::{self, PreparedTile, BP_TILE, FC_TILE_LARGE};
 use crate::runner::{PointStatus, Runner};
-use crate::schedules;
 
 /// One kernel family's tuning target: the dense timing tile the paper's
 /// evaluation is built around, in its autotunable shape.
@@ -79,22 +79,22 @@ impl TuneKernel {
         experiments::conv_sim_layer(64, 64)
     }
 
-    /// The artifact-store shape key ([`crate::schedules`]).
+    /// The artifact-store shape key ([`schedule_store`]).
     #[must_use]
     pub fn key(self) -> String {
         match self {
             TuneKernel::Bp => {
                 let (w, h, l) = BP_TILE;
-                schedules::bp_key(w, h, l)
+                schedule_store::bp_key(w, h, l)
             }
-            TuneKernel::Cnn => schedules::conv_key(&Self::conv_layer()),
+            TuneKernel::Cnn => schedule_store::conv_key(&Self::conv_layer()),
             TuneKernel::Mlp => {
                 let layer = vip_kernels::cnn::FcLayer {
                     name: "tile",
                     inputs: FC_TILE_LARGE.0,
                     outputs: FC_TILE_LARGE.1,
                 };
-                schedules::fc_key(&layer)
+                schedule_store::fc_key(&layer)
             }
         }
     }
@@ -382,7 +382,7 @@ pub fn tune_kernel(
 }
 
 /// Tunes every kernel in [`TuneKernel::ALL`] and writes the winning
-/// schedule artifacts into `out` ([`crate::schedules`] layout). An
+/// schedule artifacts into `out` ([`schedule_store`] layout). An
 /// artifact is written even when the winner *is* the default — the
 /// checked-in file then documents that the default survived the
 /// search.
@@ -399,7 +399,7 @@ pub fn tune_all(
     let mut results = Vec::new();
     for kernel in TuneKernel::ALL {
         let res = tune_kernel(kernel, cfg, runner)?;
-        schedules::save(out, &res.key, res.fingerprint, &res.best)?;
+        schedule_store::save(out, &res.key, res.fingerprint, &res.best)?;
         results.push(res);
     }
     Ok(results)

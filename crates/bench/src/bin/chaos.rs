@@ -57,11 +57,11 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use vip_bench::cli::{env_seed, Cli};
-use vip_bench::runner::atomic_write;
 use vip_serve::{
     chaos_gate, chaos_report_json, metrics, run_chaos_sweep, run_chaos_sweep_durable, ChaosConfig,
     ChaosSweepConfig, DurableConfig, Engine, ServeConfig, Workload,
 };
+use vip_snap::atomic_write;
 
 /// Default fleet-checkpoint cadence when `--resume` is given without
 /// an explicit `--fleet-checkpoint-every`.

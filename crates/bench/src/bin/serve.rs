@@ -39,11 +39,11 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use vip_bench::cli::{env_seed, Cli};
-use vip_bench::runner::atomic_write;
 use vip_serve::{
     gate, metrics, report_json, run_sweep, run_sweep_durable, DurableConfig, Engine, ServeConfig,
     SweepConfig, Workload,
 };
+use vip_snap::atomic_write;
 
 /// Default fleet-checkpoint cadence when `--resume` is given without
 /// an explicit `--checkpoint-every`.

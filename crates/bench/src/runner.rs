@@ -12,13 +12,18 @@
 //!   every `checkpoint_every` simulated cycles and deleted once the
 //!   point completes.
 //!
-//! Every file write goes through write-to-temp-then-rename
-//! ([`atomic_write`]), so a crash or SIGKILL at any instant leaves
-//! either the old file or the new one on disk, never a torn half-file.
-//! A sweep re-run with [`Runner::resume`] skips points that already
-//! have a `.done` record and picks interrupted points up from their
-//! `.ckpt` snapshot; because restore is bit-exact, the resumed sweep's
-//! final report is byte-identical to an uninterrupted one.
+//! Both records go through the same publish path as durable
+//! serving's: [`vip_snap::publish`] wraps the bytes in one CRC frame
+//! and writes them with [`vip_snap::atomic_write`] (write
+//! `<path>.tmp`, then rename), so a crash or SIGKILL at any instant
+//! leaves either the old file or the new one on disk, never a torn
+//! half-file. Reads demand exactly one intact frame
+//! ([`vip_snap::unframe`]): a record with a flipped bit is recomputed,
+//! never trusted. A sweep re-run with [`Runner::resume`] skips points
+//! that already have an intact `.done` record and picks interrupted
+//! points up from their `.ckpt` snapshot; because restore is
+//! bit-exact, the resumed sweep's final report is byte-identical to an
+//! uninterrupted one.
 //!
 //! A point that exhausts its per-point wall-clock budget (or its
 //! simulated-cycle limit) degrades instead of aborting the sweep: the
@@ -29,11 +34,14 @@
 
 use std::fs;
 use std::io;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use vip_core::{RunOutcome, SimError, System, SystemStats};
-use vip_snap::{read_header, write_header, Reader, Snapshot, Writer};
+use vip_snap::{
+    atomic_write, publish, read_header, unframe, write_header, Reader, Snapshot, Writer, MAGIC,
+};
 
 use crate::experiments::PreparedTile;
 
@@ -80,21 +88,6 @@ pub fn point_hash(name: &str, encoding: &str, fingerprint: u64) -> u64 {
     }
     bytes.extend_from_slice(&fingerprint.to_le_bytes());
     vip_snap::hash_bytes(&bytes)
-}
-
-/// Writes `bytes` to `path` via a temporary sibling and an atomic
-/// rename, so readers (and crash recovery) only ever observe a
-/// complete file.
-///
-/// # Errors
-///
-/// Propagates any I/O failure from the write or the rename.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    fs::write(&tmp, bytes)?;
-    fs::rename(&tmp, path)
 }
 
 /// The checkpointing point runner. Construct with [`Runner::new`], then
@@ -199,31 +192,16 @@ impl Runner {
         let hash = point_hash(name, encoding, fingerprint);
         let done_path = self.done_path(hash);
         let ckpt_path = self.ckpt_path(hash);
-
-        if self.resume {
-            if let Some((status, cycles, stats)) = read_done(&done_path, fingerprint) {
-                return Ok(PointResult {
-                    name: name.to_owned(),
-                    status,
-                    cycles,
-                    stats,
-                    from_cache: true,
-                });
-            }
-        }
-
-        let tile = stage();
-        assert_eq!(
-            tile.system().config().snapshot_fingerprint(),
-            fingerprint,
-            "point `{name}`: staged tile does not match the declared fingerprint"
-        );
+        let tile = match self.resume_or_stage(name, &done_path, fingerprint, &stage) {
+            ControlFlow::Break(cached) => return Ok(cached),
+            ControlFlow::Continue(tile) => tile,
+        };
         let (mut sys, limit) = tile.into_system();
         if self.resume {
-            if let Ok(bytes) = fs::read(&ckpt_path) {
-                if let Err(e) = sys.restore_snapshot(&bytes) {
-                    // A checkpoint from a different configuration (or a
-                    // pre-atomic-write torn file) is discarded; the
+            if let Ok(raw) = fs::read(&ckpt_path) {
+                if let Err(e) = unframe(&raw).and_then(|bytes| sys.restore_snapshot(bytes)) {
+                    // A checkpoint that fails its CRC frame or comes
+                    // from a different configuration is discarded; the
                     // restore may have part-written the system, so
                     // restage from scratch.
                     eprintln!("point `{name}`: discarding unusable checkpoint ({e:?})");
@@ -254,7 +232,7 @@ impl Runner {
                     });
                 }
                 Ok(RunOutcome::Paused(_)) => {
-                    atomic_write(&ckpt_path, &sys.save_snapshot())?;
+                    publish(&ckpt_path, &sys.save_snapshot())?;
                     if self
                         .budget
                         .is_some_and(|budget| started.elapsed() >= budget)
@@ -309,27 +287,11 @@ impl Runner {
         fingerprint: u64,
         stage: impl Fn() -> PreparedTile,
     ) -> io::Result<PointResult> {
-        let hash = point_hash(name, encoding, fingerprint);
-        let done_path = self.done_path(hash);
-
-        if self.resume {
-            if let Some((status, cycles, stats)) = read_done(&done_path, fingerprint) {
-                return Ok(PointResult {
-                    name: name.to_owned(),
-                    status,
-                    cycles,
-                    stats,
-                    from_cache: true,
-                });
-            }
-        }
-
-        let tile = stage();
-        assert_eq!(
-            tile.system().config().snapshot_fingerprint(),
-            fingerprint,
-            "point `{name}`: staged tile does not match the declared fingerprint"
-        );
+        let done_path = self.done_path(point_hash(name, encoding, fingerprint));
+        let tile = match self.resume_or_stage(name, &done_path, fingerprint, &stage) {
+            ControlFlow::Break(cached) => return Ok(cached),
+            ControlFlow::Continue(tile) => tile,
+        };
         match tile.try_run_functional() {
             Ok(run) => {
                 self.write_done(&done_path, fingerprint, PointStatus::Completed, &run.stats)?;
@@ -347,6 +309,37 @@ impl Runner {
                 self.degrade(name, &done_path, fingerprint, &sys)
             }
         }
+    }
+
+    /// The start both engines share: on `--resume`, an intact `.done`
+    /// record short-circuits the point *before* staging; otherwise the
+    /// point is staged and its configuration checked against the
+    /// declared `fingerprint`.
+    fn resume_or_stage(
+        &self,
+        name: &str,
+        done_path: &Path,
+        fingerprint: u64,
+        stage: impl Fn() -> PreparedTile,
+    ) -> ControlFlow<PointResult, PreparedTile> {
+        if self.resume {
+            if let Some((status, cycles, stats)) = read_done(done_path, fingerprint) {
+                return ControlFlow::Break(PointResult {
+                    name: name.to_owned(),
+                    status,
+                    cycles,
+                    stats,
+                    from_cache: true,
+                });
+            }
+        }
+        let tile = stage();
+        assert_eq!(
+            tile.system().config().snapshot_fingerprint(),
+            fingerprint,
+            "point `{name}`: staged tile does not match the declared fingerprint"
+        );
+        ControlFlow::Continue(tile)
     }
 
     fn degrade(
@@ -375,10 +368,10 @@ impl Runner {
         stats: &SystemStats,
     ) -> io::Result<()> {
         let mut w = Writer::new();
-        write_header(&mut w, fingerprint);
+        write_header(&mut w, &MAGIC, fingerprint);
         w.bool(status == PointStatus::Completed);
         stats.save(&mut w);
-        atomic_write(path, &w.into_bytes())
+        publish(path, &w.into_bytes())
     }
 
     /// Atomically writes a sweep's final report file under the runner's
@@ -396,11 +389,11 @@ impl Runner {
 
 /// Reads a `.done` record back, tolerating absence and rejecting
 /// records from another configuration (fingerprint mismatch) or with
-/// any form of corruption.
+/// any form of corruption — a CRC failure included.
 fn read_done(path: &Path, fingerprint: u64) -> Option<(PointStatus, u64, SystemStats)> {
-    let bytes = fs::read(path).ok()?;
-    let mut r = Reader::new(&bytes);
-    read_header(&mut r, fingerprint).ok()?;
+    let raw = fs::read(path).ok()?;
+    let mut r = Reader::new(unframe(&raw).ok()?);
+    read_header(&mut r, &MAGIC, fingerprint).ok()?;
     let status = if r.bool().ok()? {
         PointStatus::Completed
     } else {

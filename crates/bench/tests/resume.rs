@@ -129,3 +129,45 @@ fn killed_sweep_resumes_to_an_identical_report() {
     let _ = std::fs::remove_dir_all(&clean);
     let _ = std::fs::remove_dir_all(&killed);
 }
+
+/// A bit flip inside a `.done` record's stats counter must not resume
+/// with the wrong numbers: the record's CRC frame rejects it, the point
+/// is recomputed, and the report matches an uninterrupted sweep.
+#[test]
+fn flipped_done_record_counter_recomputes_to_an_identical_report() {
+    let clean = scratch_dir("flip-clean");
+    let flipped = scratch_dir("flip-done");
+    run_sweep(&clean, false);
+    let clean_report = std::fs::read(clean.join("report.txt")).expect("clean report");
+
+    run_sweep(&flipped, false);
+    let mut records = 0;
+    for entry in std::fs::read_dir(&flipped).expect("sweep dir").flatten() {
+        let path = entry.path();
+        if path.extension().is_none_or(|ext| ext != "done") {
+            continue;
+        }
+        let mut bytes = std::fs::read(&path).expect("done record");
+        // The record is the snapshot header (8-byte magic, u32 version,
+        // u64 fingerprint), a status byte, then the stats; the first
+        // stats counter is the point's cycle count.
+        let header = bytes
+            .windows(vip_snap::MAGIC.len())
+            .position(|w| w == vip_snap::MAGIC)
+            .expect("snapshot header");
+        bytes[header + 8 + 4 + 8 + 1] ^= 0x01;
+        std::fs::write(&path, &bytes).expect("write flipped record");
+        records += 1;
+    }
+    assert!(records > 0, "the sweep left no done records");
+
+    run_sweep(&flipped, true);
+    let resumed_report = std::fs::read(flipped.join("report.txt")).expect("resumed report");
+    assert_eq!(
+        resumed_report, clean_report,
+        "a flipped done-record counter leaked into the resumed report"
+    );
+
+    let _ = std::fs::remove_dir_all(&clean);
+    let _ = std::fs::remove_dir_all(&flipped);
+}

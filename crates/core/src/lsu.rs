@@ -5,7 +5,7 @@ use std::collections::{HashMap, VecDeque};
 
 use vip_isa::{Reg, Trap};
 use vip_mem::{MemRequest, MemResponse, ReqId, RequestKind};
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_snap::{snapshot, Reader, SnapError, Snapshot, Writer};
 
 use crate::arc::ArcId;
 use crate::scalar::ScalarRegs;
@@ -399,59 +399,11 @@ impl Snapshot for OpKind {
     }
 }
 
-impl Snapshot for Chunk {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.dram_addr);
-        w.usize(self.sp_addr);
-        w.usize(self.len);
-        w.bytes(&self.data);
-        self.kind.save(w);
-    }
+snapshot!(struct Chunk { dram_addr, sp_addr, len, data: bytes, kind });
 
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Chunk {
-            dram_addr: r.u64()?,
-            sp_addr: r.usize()?,
-            len: r.usize()?,
-            data: r.bytes()?.to_vec(),
-            kind: RequestKind::restore(r)?,
-        })
-    }
-}
+snapshot!(struct LsuOp { kind, unsent, outstanding });
 
-impl Snapshot for LsuOp {
-    fn save(&self, w: &mut Writer) {
-        self.kind.save(w);
-        self.unsent.save(w);
-        w.usize(self.outstanding);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(LsuOp {
-            kind: OpKind::restore(r)?,
-            unsent: VecDeque::restore(r)?,
-            outstanding: r.usize()?,
-        })
-    }
-}
-
-impl Snapshot for InFlight {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.op);
-        w.usize(self.sp_addr);
-        w.u64(self.dram_addr);
-        self.kind.save(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(InFlight {
-            op: r.u64()?,
-            sp_addr: r.usize()?,
-            dram_addr: r.u64()?,
-            kind: RequestKind::restore(r)?,
-        })
-    }
-}
+snapshot!(struct InFlight { op, sp_addr, dram_addr, kind });
 
 impl LoadStoreUnit {
     /// Serializes the LSU's mutable state. `pe_id`/`capacity`/`granule`

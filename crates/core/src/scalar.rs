@@ -1,7 +1,7 @@
 //! The scalar register file with per-register valid bits (§III-B).
 
 use vip_isa::{Reg, NUM_REGS};
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_snap::snapshot;
 
 /// 64×64-bit scalar registers, each with a valid bit.
 ///
@@ -62,30 +62,12 @@ impl Default for ScalarRegs {
     }
 }
 
-/// Valid bits are captured alongside values: a snapshot can land while
-/// an `ld.reg` fill is outstanding, leaving registers architecturally
-/// invalid.
-impl Snapshot for ScalarRegs {
-    fn save(&self, w: &mut Writer) {
-        for v in self.values {
-            w.u64(v);
-        }
-        for b in self.valid {
-            w.bool(b);
-        }
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let mut regs = ScalarRegs::new();
-        for v in &mut regs.values {
-            *v = r.u64()?;
-        }
-        for b in &mut regs.valid {
-            *b = r.bool()?;
-        }
-        Ok(regs)
-    }
-}
+snapshot!(
+    /// Valid bits are captured alongside values: a snapshot can land while
+    /// an `ld.reg` fill is outstanding, leaving registers architecturally
+    /// invalid.
+    struct ScalarRegs { values, valid }
+);
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,7 @@ use vip_faults::FaultConfig;
 use vip_isa::{scan_block, Block, Program, Reg};
 use vip_mem::{Hmc, MemRequest, MemResponse, RequestKind};
 use vip_noc::Torus;
-use vip_snap::{read_header, write_header, Reader, SnapError, Snapshot, Writer};
+use vip_snap::{read_header, snapshot, write_header, Reader, SnapError, Snapshot, Writer, MAGIC};
 
 use crate::config::SystemConfig;
 use crate::error::{BlockedPe, HangReport, SimError};
@@ -37,32 +37,10 @@ enum SysMsg {
     Resp { pe: usize, resp: MemResponse },
 }
 
-impl Snapshot for SysMsg {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            SysMsg::Req(req) => {
-                w.u8(0);
-                req.save(w);
-            }
-            SysMsg::Resp { pe, resp } => {
-                w.u8(1);
-                w.usize(*pe);
-                resp.save(w);
-            }
-        }
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(SysMsg::Req(MemRequest::restore(r)?)),
-            1 => Ok(SysMsg::Resp {
-                pe: r.usize()?,
-                resp: MemResponse::restore(r)?,
-            }),
-            _ => Err(SnapError::Corrupt("system message tag")),
-        }
-    }
-}
+snapshot!(enum SysMsg, "system message tag" {
+    0 => Req(req),
+    1 => Resp { pe, resp },
+});
 
 fn req_bytes(req: &MemRequest) -> usize {
     match req.kind {
@@ -1244,7 +1222,7 @@ impl System {
     #[must_use]
     pub fn save_snapshot(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        write_header(&mut w, self.cfg.snapshot_fingerprint());
+        write_header(&mut w, &MAGIC, self.cfg.snapshot_fingerprint());
         w.u64(self.now);
         w.usize(self.pes.len());
         for pe in &self.pes {
@@ -1279,7 +1257,7 @@ impl System {
     /// mismatch, a truncated or corrupt image, or trailing bytes.
     pub fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         let mut r = Reader::new(bytes);
-        read_header(&mut r, self.cfg.snapshot_fingerprint())?;
+        read_header(&mut r, &MAGIC, self.cfg.snapshot_fingerprint())?;
         self.now = r.u64()?;
         let pes = r.usize()?;
         if pes != self.pes.len() {

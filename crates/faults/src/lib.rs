@@ -7,7 +7,8 @@
 //! flit corruption and drops on torus links, PE register-writeback
 //! upsets — together with the graceful-degradation codes that absorb
 //! them: a SECDED (72,64) Hamming code on the vault read path and a
-//! CRC-32 on NoC packets.
+//! CRC-32 on NoC packets (the torus computes it with `vip_snap::crc32`,
+//! the one CRC-32 in the workspace).
 //!
 //! # Determinism contract
 //!
@@ -25,11 +26,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod crc;
 pub mod secded;
 
 use vip_rng::SplitMix64;
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_snap::snapshot;
 
 /// One million — fault rates are expressed as integer parts-per-million
 /// so configs stay `Copy + Eq` (no floats).
@@ -221,71 +221,13 @@ impl FaultConfig {
     }
 }
 
-impl Snapshot for DramFaultConfig {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.seed);
-        w.u32(self.single_bit_ppm);
-        w.u32(self.double_bit_ppm);
-    }
+snapshot!(struct DramFaultConfig { seed, single_bit_ppm, double_bit_ppm });
 
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(DramFaultConfig {
-            seed: r.u64()?,
-            single_bit_ppm: r.u32()?,
-            double_bit_ppm: r.u32()?,
-        })
-    }
-}
+snapshot!(struct NocFaultConfig { seed, corrupt_ppm, drop_ppm, max_retries, backoff });
 
-impl Snapshot for NocFaultConfig {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.seed);
-        w.u32(self.corrupt_ppm);
-        w.u32(self.drop_ppm);
-        w.u32(self.max_retries);
-        w.u64(self.backoff);
-    }
+snapshot!(struct PeFaultConfig { seed, writeback_flip_ppm });
 
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(NocFaultConfig {
-            seed: r.u64()?,
-            corrupt_ppm: r.u32()?,
-            drop_ppm: r.u32()?,
-            max_retries: r.u32()?,
-            backoff: r.u64()?,
-        })
-    }
-}
-
-impl Snapshot for PeFaultConfig {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.seed);
-        w.u32(self.writeback_flip_ppm);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(PeFaultConfig {
-            seed: r.u64()?,
-            writeback_flip_ppm: r.u32()?,
-        })
-    }
-}
-
-impl Snapshot for FaultConfig {
-    fn save(&self, w: &mut Writer) {
-        self.dram.save(w);
-        self.noc.save(w);
-        self.pe.save(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(FaultConfig {
-            dram: Option::restore(r)?,
-            noc: Option::restore(r)?,
-            pe: Option::restore(r)?,
-        })
-    }
-}
+snapshot!(struct FaultConfig { dram, noc, pe });
 
 #[cfg(test)]
 mod tests {

@@ -22,6 +22,7 @@ use crate::inst::Instruction;
 use crate::ops::BranchCond;
 use crate::program::Program;
 use crate::types::Reg;
+use vip_snap::Fingerprint;
 
 /// How a straight-line block hands control onward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,9 +144,10 @@ pub fn scan_block(program: &Program, pc: usize) -> Block {
     }
 }
 
-/// FNV-1a over a program's encoded instruction words — the key that
-/// makes decoded blocks shareable across PEs running the same (SPMD)
-/// program and safely discardable when a different program loads.
+/// FNV-1a ([`Fingerprint`]) over a program's encoded instruction words —
+/// the key that makes decoded blocks shareable across PEs running the
+/// same (SPMD) program and safely discardable when a different program
+/// loads.
 ///
 /// # Panics
 ///
@@ -153,18 +155,12 @@ pub fn scan_block(program: &Program, pc: usize) -> Block {
 /// code-generation bug `Pe::load_program` rejects.
 #[must_use]
 pub fn program_fingerprint(program: &Program) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |byte: u8| {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut f = Fingerprint::new();
     for inst in program.iter() {
         let word = inst.encode().expect("program instructions are encodable");
-        for byte in word.to_le_bytes() {
-            mix(byte);
-        }
+        f.push_bytes(&word.to_le_bytes());
     }
-    h
+    f.finish()
 }
 
 #[cfg(test)]

@@ -19,15 +19,15 @@
 //! re-serialization, which is what lets a resumed search re-emit
 //! byte-identical artifacts.
 //!
-//! This module lived in `vip_bench::schedules` until the serving layer
-//! needed the same lookups without depending on the bench crate; the
-//! old path re-exports everything here.
+//! Artifacts are written with [`vip_snap::atomic_write`], so a killed
+//! search never leaves a torn schedule behind.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::cnn::{ConvLayer, FcLayer};
 use crate::schedule::Schedule;
+use vip_snap::atomic_write;
 
 /// Environment variable overriding the artifact directory.
 pub const DIR_ENV: &str = "VIP_SCHEDULE_DIR";
@@ -65,18 +65,6 @@ pub fn bp_key(width: usize, height: usize, labels: usize) -> String {
 #[must_use]
 pub fn artifact_name(key: &str, fingerprint: u64) -> String {
     format!("{key}-{fingerprint:016x}.json")
-}
-
-/// Writes `bytes` to `path` via a temporary sibling and an atomic
-/// rename, so readers (and crash recovery) only ever observe a
-/// complete file. A local copy of the bench runner's idiom — the store
-/// must stay usable without the bench crate.
-fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
 }
 
 /// Loads the schedule artifact for `(key, fingerprint)` from `from`,

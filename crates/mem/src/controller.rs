@@ -13,7 +13,7 @@ use crate::timing::BASELINE_T_REFI_PS;
 use crate::Cycle;
 use vip_faults::secded::Decoded;
 use vip_faults::{fault_roll, fault_value, FaultDomain};
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_snap::{snapshot, Reader, SnapError, Snapshot, Writer};
 
 #[derive(Debug)]
 struct Txn {
@@ -23,23 +23,7 @@ struct Txn {
     caused_act: bool,
 }
 
-impl Snapshot for Txn {
-    fn save(&self, w: &mut Writer) {
-        self.req.save(w);
-        self.decoded.save(w);
-        w.u64(self.enqueued);
-        w.bool(self.caused_act);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Txn {
-            req: MemRequest::restore(r)?,
-            decoded: DecodedAddr::restore(r)?,
-            enqueued: r.u64()?,
-            caused_act: r.bool()?,
-        })
-    }
-}
+snapshot!(struct Txn { req, decoded, enqueued, caused_act });
 
 #[derive(Debug)]
 struct PendingCompletion {
@@ -48,21 +32,7 @@ struct PendingCompletion {
     latency: Cycle,
 }
 
-impl Snapshot for PendingCompletion {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.at);
-        self.response.save(w);
-        w.u64(self.latency);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(PendingCompletion {
-            at: r.u64()?,
-            response: MemResponse::restore(r)?,
-            latency: r.u64()?,
-        })
-    }
-}
+snapshot!(struct PendingCompletion { at, response, latency });
 
 /// Cycle-level model of one HMC vault: a transaction queue in front of 16
 /// independently-controlled banks sharing one 10 GB/s data path.

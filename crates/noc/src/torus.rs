@@ -6,8 +6,8 @@ use std::fmt;
 use crate::routing::{hop_count, next_hop};
 use crate::stats::NocStats;
 use crate::Cycle;
-use vip_faults::{crc::crc32, fault_roll, fault_value, FaultDomain, NocFaultConfig};
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_faults::{fault_roll, fault_value, FaultDomain, NocFaultConfig};
+use vip_snap::{crc32, Reader, SnapError, Snapshot, Writer};
 
 /// Torus geometry and link parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -8,7 +8,7 @@
 //! to a journal segment, and every `checkpoint_every` events the whole
 //! fleet — device snapshots, queues, parked jobs, RNG cursors, the
 //! program cache's key set, the partial outcome — is written to a
-//! `.ckpt` file with the bench runner's write-then-rename discipline.
+//! `.ckpt` file.
 //! On resume, the latest valid checkpoint restores the fleet and the
 //! journal tail is replayed: the scheduler re-executes each event and
 //! byte-compares what it produced against the recorded frame, so a
@@ -25,6 +25,14 @@
 //! garbage collection, so disk usage is one checkpoint plus one
 //! partial segment per point. A finished point collapses to a single
 //! `p{i}.done` record holding its encoded outcome.
+//!
+//! Checkpoints and done-records share one publish path with the bench
+//! runner's records: [`vip_snap::publish`] wraps the bytes in one CRC
+//! frame and writes them with [`vip_snap::atomic_write`]
+//! (write `<path>.tmp`, then rename), and every read demands exactly
+//! one intact frame ([`vip_snap::unframe`]). A crash leaves the old
+//! file or the new one; a bit flip on disk is typed corruption, and
+//! the point is recomputed rather than trusted.
 
 use std::fmt;
 use std::fs;
@@ -33,7 +41,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use vip_snap::{frame, journal_header, read_journal_header, scan_frames, SnapError};
+use vip_snap::{
+    frame, publish, read_header, scan_frames, temp_path, unframe, write_header, Reader, SnapError,
+    Writer, JOURNAL_HEADER_LEN, JOURNAL_MAGIC,
+};
 
 /// Where and how often durable serving persists its state.
 #[derive(Debug, Clone)]
@@ -113,6 +124,19 @@ fn io_err(op: &'static str, path: &Path, source: io::Error) -> DurableError {
         path: path.to_path_buf(),
         source,
     }
+}
+
+/// The payload of a published record read from `path`; anything but
+/// one intact CRC frame (torn, bit-flipped, trailing garbage) is typed
+/// corruption, which the caller recovers from by resetting and
+/// recomputing.
+fn published(path: &Path, raw: &[u8]) -> Result<Vec<u8>, DurableError> {
+    unframe(raw)
+        .map(<[u8]>::to_vec)
+        .map_err(|source| DurableError::Corrupt {
+            path: path.to_path_buf(),
+            source,
+        })
 }
 
 /// The run directory for one configuration fingerprint under `root`.
@@ -258,7 +282,9 @@ impl PointStore {
     fn fresh_segment(&mut self, ordinal: u64) -> Result<(), DurableError> {
         let path = self.segment_path(ordinal);
         let mut file = fs::File::create(&path).map_err(|e| io_err("create journal", &path, e))?;
-        file.write_all(&journal_header(self.fingerprint))
+        let mut header = Writer::new();
+        write_header(&mut header, &JOURNAL_MAGIC, self.fingerprint);
+        file.write_all(&header.into_bytes())
             .map_err(|e| io_err("write journal header", &path, e))?;
         self.ordinal = ordinal;
         self.journal = Some(file);
@@ -274,14 +300,14 @@ impl PointStore {
     /// # Errors
     ///
     /// [`DurableError::Io`] on filesystem failures;
-    /// [`DurableError::Corrupt`] if the latest checkpoint's CRC frame
-    /// fails to validate. Unreadable journal *content* is not an
-    /// error: the checkpoint is authoritative and a segment that lost
-    /// its header is recreated empty.
+    /// [`DurableError::Corrupt`] if the done-record or the latest
+    /// checkpoint is not one intact CRC frame. Unreadable journal
+    /// *content* is not an error: the checkpoint is authoritative and a
+    /// segment that lost its header is recreated empty.
     pub fn load(&mut self) -> Result<LoadedPoint, DurableError> {
         let done = self.done_path();
         match fs::read(&done) {
-            Ok(bytes) => return Ok(LoadedPoint::Done(bytes)),
+            Ok(raw) => return Ok(LoadedPoint::Done(published(&done, &raw)?)),
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(io_err("read done record", &done, e)),
         }
@@ -293,17 +319,7 @@ impl PointStore {
             Some(n) => {
                 let path = self.ckpt_path(n);
                 let raw = fs::read(&path).map_err(|e| io_err("read checkpoint", &path, e))?;
-                // A checkpoint is one CRC frame; anything else — torn,
-                // bit-flipped, trailing garbage — is typed corruption
-                // (the caller recovers by resetting and recomputing).
-                let scan = scan_frames(&raw);
-                if scan.frames.len() != 1 || scan.valid_len != raw.len() {
-                    return Err(DurableError::Corrupt {
-                        path,
-                        source: SnapError::Corrupt("checkpoint is not one intact CRC frame"),
-                    });
-                }
-                Some(scan.frames[0].to_vec())
+                Some(published(&path, &raw)?)
             }
         };
         let seg_path = self.segment_path(ordinal);
@@ -314,34 +330,37 @@ impl PointStore {
                 Vec::new()
             }
             Err(e) => return Err(io_err("read journal", &seg_path, e)),
-            Ok(bytes) => match read_journal_header(&bytes, self.fingerprint) {
-                Err(_) => {
-                    // The segment never got a whole header (or belongs
-                    // to another build): the checkpoint still holds the
-                    // authoritative state, so restart the segment.
-                    self.fresh_segment(ordinal)?;
-                    Vec::new()
-                }
-                Ok(start) => {
-                    let scan = scan_frames(&bytes[start..]);
-                    let frames: Vec<Vec<u8>> = scan.frames.iter().map(|f| f.to_vec()).collect();
-                    // Append mode: writes land past the valid prefix
-                    // even after the torn-tail truncation below.
-                    let file = fs::OpenOptions::new()
-                        .append(true)
-                        .open(&seg_path)
-                        .map_err(|e| io_err("open journal", &seg_path, e))?;
-                    if scan.torn {
-                        // The torn-tail rule: truncate at the last
-                        // intact CRC frame.
-                        file.set_len((start + scan.valid_len) as u64)
-                            .map_err(|e| io_err("truncate journal", &seg_path, e))?;
+            Ok(seg) => {
+                match read_header(&mut Reader::new(&seg), &JOURNAL_MAGIC, self.fingerprint) {
+                    Err(_) => {
+                        // The segment never got a whole header (or belongs
+                        // to another build): the checkpoint still holds the
+                        // authoritative state, so restart the segment.
+                        self.fresh_segment(ordinal)?;
+                        Vec::new()
                     }
-                    self.ordinal = ordinal;
-                    self.journal = Some(file);
-                    frames
+                    Ok(()) => {
+                        let start = JOURNAL_HEADER_LEN;
+                        let scan = scan_frames(&seg[start..]);
+                        let frames: Vec<Vec<u8>> = scan.frames.iter().map(|f| f.to_vec()).collect();
+                        // Append mode: writes land past the valid prefix
+                        // even after the torn-tail truncation below.
+                        let file = fs::OpenOptions::new()
+                            .append(true)
+                            .open(&seg_path)
+                            .map_err(|e| io_err("open journal", &seg_path, e))?;
+                        if scan.torn {
+                            // The torn-tail rule: truncate at the last
+                            // intact CRC frame.
+                            file.set_len((start + scan.valid_len) as u64)
+                                .map_err(|e| io_err("truncate journal", &seg_path, e))?;
+                        }
+                        self.ordinal = ordinal;
+                        self.journal = Some(file);
+                        frames
+                    }
                 }
-            },
+            }
         };
         Ok(LoadedPoint::Resume { ckpt, journal })
     }
@@ -378,10 +397,9 @@ impl PointStore {
         Ok(())
     }
 
-    /// Writes checkpoint `ordinal + 1` atomically (write-then-rename,
-    /// the body wrapped in one CRC frame so corruption is detectable),
-    /// rotates the journal to a fresh segment, and prunes the
-    /// superseded checkpoint and segment.
+    /// Publishes checkpoint `ordinal + 1` ([`vip_snap::publish`]: one
+    /// CRC frame, written then renamed), rotates the journal to a fresh
+    /// segment, and prunes the superseded checkpoint and segment.
     ///
     /// # Errors
     ///
@@ -389,19 +407,15 @@ impl PointStore {
     pub fn checkpoint(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
         let next = self.ordinal + 1;
         let path = self.ckpt_path(next);
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        let framed = frame(bytes);
         let nth = CKPTS.fetch_add(1, Ordering::Relaxed) + 1;
         if crash_armed(CrashPoint::Ckpt, nth) {
             // Simulated host death mid-checkpoint: a torn temporary is
             // left behind; the rename never happens.
-            let _ = fs::write(&tmp, &framed[..framed.len() / 2]);
+            let framed = frame(bytes);
+            let _ = fs::write(temp_path(&path), &framed[..framed.len() / 2]);
             std::process::abort();
         }
-        fs::write(&tmp, &framed).map_err(|e| io_err("write checkpoint", &tmp, e))?;
-        fs::rename(&tmp, &path).map_err(|e| io_err("publish checkpoint", &path, e))?;
+        publish(&path, bytes).map_err(|e| io_err("publish checkpoint", &path, e))?;
         self.fresh_segment(next)?;
         self.prune_except(Some(next))
     }
@@ -414,11 +428,7 @@ impl PointStore {
     /// [`DurableError::Io`] if the write fails.
     pub fn finish(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
         let path = self.done_path();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        fs::write(&tmp, bytes).map_err(|e| io_err("write done record", &tmp, e))?;
-        fs::rename(&tmp, &path).map_err(|e| io_err("publish done record", &path, e))?;
+        publish(&path, bytes).map_err(|e| io_err("publish done record", &path, e))?;
         self.journal = None;
         self.prune_except(Some(u64::MAX))?;
         Ok(())

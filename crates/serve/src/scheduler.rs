@@ -42,7 +42,9 @@ use vip_core::{RunOutcome, SimError, System, SystemConfig};
 use vip_faults::{FaultConfig, PPM_SCALE};
 use vip_mem::MemConfig;
 use vip_rng::SplitMix64;
-use vip_snap::{read_header, write_header, Fingerprint, Reader, SnapError, Snapshot, Writer};
+use vip_snap::{
+    read_header, snapshot, write_header, Fingerprint, Reader, SnapError, Snapshot, Writer, MAGIC,
+};
 
 use crate::cache::{CacheKey, ProgramCache};
 use crate::chaos::{ChaosConfig, ChaosStats, FailureKind, Terminal};
@@ -162,45 +164,11 @@ pub enum Rejection {
     },
 }
 
-impl Snapshot for Rejection {
-    fn save(&self, w: &mut Writer) {
-        match *self {
-            Rejection::QueueFull { priority, depth } => {
-                w.u8(0);
-                w.u8(priority);
-                w.usize(depth);
-            }
-            Rejection::Timeout { deadline, waited } => {
-                w.u8(1);
-                w.u64(deadline);
-                w.u64(waited);
-            }
-            Rejection::Shed { healthy, devices } => {
-                w.u8(2);
-                w.usize(healthy);
-                w.usize(devices);
-            }
-        }
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Rejection::QueueFull {
-                priority: r.u8()?,
-                depth: r.usize()?,
-            },
-            1 => Rejection::Timeout {
-                deadline: r.u64()?,
-                waited: r.u64()?,
-            },
-            2 => Rejection::Shed {
-                healthy: r.usize()?,
-                devices: r.usize()?,
-            },
-            _ => return Err(SnapError::Corrupt("rejection tag")),
-        })
-    }
-}
+snapshot!(enum Rejection, "rejection tag" {
+    0 => QueueFull { priority, depth },
+    1 => Timeout { deadline, waited },
+    2 => Shed { healthy, devices },
+});
 
 /// The full life of one request, as the report records it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -252,49 +220,10 @@ impl RequestRecord {
     }
 }
 
-impl Snapshot for RequestRecord {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.id);
-        self.client.save(w);
-        self.class.save(w);
-        self.key.save(w);
-        w.u8(self.priority);
-        w.u64(self.arrival);
-        self.dispatch.save(w);
-        self.completion.save(w);
-        self.device.save(w);
-        w.usize(self.batch);
-        w.u32(self.migrations);
-        w.u32(self.retries);
-        self.rejection.save(w);
-        w.u32(self.attempts);
-        self.devices.save(w);
-        self.status.save(w);
-        w.u64(self.result_hash);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(RequestRecord {
-            id: r.u64()?,
-            client: Option::restore(r)?,
-            class: TileClass::restore(r)?,
-            key: String::restore(r)?,
-            priority: r.u8()?,
-            arrival: r.u64()?,
-            dispatch: Option::restore(r)?,
-            completion: Option::restore(r)?,
-            device: Option::restore(r)?,
-            batch: r.usize()?,
-            migrations: r.u32()?,
-            retries: r.u32()?,
-            rejection: Option::restore(r)?,
-            attempts: r.u32()?,
-            devices: Vec::restore(r)?,
-            status: Terminal::restore(r)?,
-            result_hash: r.u64()?,
-        })
-    }
-}
+snapshot!(struct RequestRecord {
+    id, client, class, key, priority, arrival, dispatch, completion, device, batch, migrations,
+    retries, rejection, attempts, devices, status, result_hash,
+});
 
 /// Everything one serving run produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -328,39 +257,10 @@ pub struct ServeOutcome {
     pub chaos: ChaosStats,
 }
 
-impl Snapshot for ServeOutcome {
-    fn save(&self, w: &mut Writer) {
-        self.records.save(w);
-        w.u64(self.makespan);
-        w.u64(self.preemptions);
-        w.u64(self.migrations);
-        w.u64(self.batches);
-        w.u64(self.dispatches);
-        self.max_queue_depth.save(w);
-        w.u64(self.rejections);
-        self.device_busy.save(w);
-        w.u64(self.cache_hits);
-        w.u64(self.cache_misses);
-        self.chaos.save(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(ServeOutcome {
-            records: Vec::restore(r)?,
-            makespan: r.u64()?,
-            preemptions: r.u64()?,
-            migrations: r.u64()?,
-            batches: r.u64()?,
-            dispatches: r.u64()?,
-            max_queue_depth: <[usize; 2]>::restore(r)?,
-            rejections: r.u64()?,
-            device_busy: Vec::restore(r)?,
-            cache_hits: r.u64()?,
-            cache_misses: r.u64()?,
-            chaos: ChaosStats::restore(r)?,
-        })
-    }
-}
+snapshot!(struct ServeOutcome {
+    records, makespan, preemptions, migrations, batches, dispatches, max_queue_depth, rejections,
+    device_busy, cache_hits, cache_misses, chaos,
+});
 
 /// A queued request awaiting dispatch.
 #[derive(Debug, Clone)]
@@ -1386,82 +1286,21 @@ fn run_slice(fleet: &mut Fleet, ctx: &Ctx<'_>, running: &mut Running, now: u64, 
 // bit-exact snapshot.
 // ---------------------------------------------------------------------------
 
-impl Snapshot for Pending {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.id);
-        self.class.save(w);
-        w.u8(self.priority);
-    }
+snapshot!(struct Pending { id, class, priority });
 
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Pending {
-            id: r.u64()?,
-            class: TileClass::restore(r)?,
-            priority: r.u8()?,
-        })
-    }
-}
+snapshot!(enum SliceEnd, "slice end tag" {
+    0 => Done,
+    1 => Paused,
+    2 => Failed(kind),
+});
 
-impl Snapshot for SliceEnd {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            SliceEnd::Done => w.u8(0),
-            SliceEnd::Paused => w.u8(1),
-            SliceEnd::Failed(kind) => {
-                w.u8(2);
-                kind.save(w);
-            }
-        }
-    }
+snapshot!(enum Health, "health tag" {
+    0 => Healthy,
+    1 => Quarantined,
+    2 => Dead,
+});
 
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => SliceEnd::Done,
-            1 => SliceEnd::Paused,
-            2 => SliceEnd::Failed(FailureKind::restore(r)?),
-            _ => return Err(SnapError::Corrupt("slice end tag")),
-        })
-    }
-}
-
-impl Snapshot for Health {
-    fn save(&self, w: &mut Writer) {
-        w.u8(match self {
-            Health::Healthy => 0,
-            Health::Quarantined => 1,
-            Health::Dead => 2,
-        });
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Health::Healthy,
-            1 => Health::Quarantined,
-            2 => Health::Dead,
-            _ => return Err(SnapError::Corrupt("health tag")),
-        })
-    }
-}
-
-impl Snapshot for DeviceChaos {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.rng.state());
-        w.bool(self.flaky);
-        self.faults.save(w);
-        self.health.save(w);
-        w.u32(self.strikes);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(DeviceChaos {
-            rng: SplitMix64::new(r.u64()?),
-            flaky: r.bool()?,
-            faults: FaultConfig::restore(r)?,
-            health: Health::restore(r)?,
-            strikes: r.u32()?,
-        })
-    }
-}
+snapshot!(struct DeviceChaos { rng, flaky, faults, health, strikes });
 
 fn save_job(meta: &JobMeta, w: &mut Writer) {
     meta.reqs.save(w);
@@ -1569,7 +1408,7 @@ fn restore_running(r: &mut Reader<'_>, ctx: &Ctx<'_>) -> Result<Running, SnapErr
 /// blob keyed by the run fingerprint.
 fn save_fleet(fleet: &Fleet, ctx: &Ctx<'_>, fingerprint: u64) -> Vec<u8> {
     let mut w = Writer::new();
-    write_header(&mut w, fingerprint);
+    write_header(&mut w, &MAGIC, fingerprint);
     let mut events: Vec<(u64, u64, EvKind)> = fleet.heap.iter().map(|Reverse(e)| *e).collect();
     events.sort_unstable();
     w.usize(events.len());
@@ -1586,8 +1425,7 @@ fn save_fleet(fleet: &Fleet, ctx: &Ctx<'_>, fingerprint: u64) -> Vec<u8> {
     let mut clients: Vec<(u64, usize)> = fleet.client_of.iter().map(|(&k, &v)| (k, v)).collect();
     clients.sort_unstable();
     clients.save(&mut w);
-    let cursors: Vec<u64> = fleet.think_rngs.iter().map(SplitMix64::state).collect();
-    cursors.save(&mut w);
+    fleet.think_rngs.save(&mut w);
     fleet.queues[0].save(&mut w);
     fleet.queues[1].save(&mut w);
     w.usize(fleet.parked.len());
@@ -1630,7 +1468,7 @@ fn fleet_len(r: &Reader<'_>, len: usize) -> Result<usize, SnapError> {
 /// malformed input is a typed [`SnapError`] — never a panic.
 fn restore_fleet(bytes: &[u8], ctx: &Ctx<'_>, fingerprint: u64) -> Result<Fleet, SnapError> {
     let mut r = Reader::new(bytes);
-    read_header(&mut r, fingerprint)?;
+    read_header(&mut r, &MAGIC, fingerprint)?;
     let n = r.usize()?;
     let n = fleet_len(&r, n)?;
     let mut heap = EventHeap::with_capacity(n);
@@ -1645,7 +1483,7 @@ fn restore_fleet(bytes: &[u8], ctx: &Ctx<'_>, fingerprint: u64) -> Result<Fleet,
     let issued = r.u64()?;
     let events_settled = r.u64()?;
     let clients: Vec<(u64, usize)> = Vec::restore(&mut r)?;
-    let cursors: Vec<u64> = Vec::restore(&mut r)?;
+    let think_rngs = Vec::restore(&mut r)?;
     let queues = [VecDeque::restore(&mut r)?, VecDeque::restore(&mut r)?];
     let n = r.usize()?;
     let n = fleet_len(&r, n)?;
@@ -1689,7 +1527,7 @@ fn restore_fleet(bytes: &[u8], ctx: &Ctx<'_>, fingerprint: u64) -> Result<Fleet,
         issued,
         events_settled,
         client_of: clients.into_iter().collect(),
-        think_rngs: cursors.into_iter().map(SplitMix64::new).collect(),
+        think_rngs,
         queues,
         parked,
         devices,
@@ -1704,14 +1542,14 @@ fn restore_fleet(bytes: &[u8], ctx: &Ctx<'_>, fingerprint: u64) -> Result<Fleet,
 
 fn outcome_bytes(outcome: &ServeOutcome, fingerprint: u64) -> Vec<u8> {
     let mut w = Writer::new();
-    write_header(&mut w, fingerprint);
+    write_header(&mut w, &MAGIC, fingerprint);
     outcome.save(&mut w);
     w.into_bytes()
 }
 
 fn decode_outcome(bytes: &[u8], fingerprint: u64) -> Result<ServeOutcome, SnapError> {
     let mut r = Reader::new(bytes);
-    read_header(&mut r, fingerprint)?;
+    read_header(&mut r, &MAGIC, fingerprint)?;
     let outcome = ServeOutcome::restore(&mut r)?;
     r.finish()?;
     Ok(outcome)

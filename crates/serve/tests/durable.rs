@@ -381,6 +381,63 @@ fn sweep_durable_report_matches_plain_sweep() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A bit flip inside a done-record's counter must not resume with the
+/// wrong numbers: the record's CRC frame rejects it, the point is
+/// recomputed, and the report matches the plain sweep byte for byte.
+#[test]
+fn flipped_done_record_counter_recomputes_to_an_identical_report() {
+    let root = scratch("done-flip");
+    let cfg = SweepConfig {
+        serve: fleet(None),
+        seed: 0xf11b,
+        requests: 10,
+        think: 20_000,
+        clients: vec![1, 4],
+        jobs: 2,
+        mix: Workload::small_mix(),
+    };
+    let plain = run_sweep(&cfg);
+    let durable = DurableConfig {
+        dir: root.clone(),
+        checkpoint_every: 64,
+        resume: false,
+    };
+    run_sweep_durable(&cfg, &durable).expect("durable sweep");
+
+    // The outcome ends with `cache_hits`, `cache_misses` and the 14
+    // chaos counters, all u64: flip the low byte of `cache_hits`.
+    let mut records = 0;
+    for run in std::fs::read_dir(&root).expect("durable root").flatten() {
+        for entry in std::fs::read_dir(run.path()).expect("run dir").flatten() {
+            let path = entry.path();
+            if path.extension().is_none_or(|ext| ext != "done") {
+                continue;
+            }
+            let mut bytes = std::fs::read(&path).expect("done record");
+            let at = bytes.len() - 16 * 8;
+            bytes[at] ^= 0x01;
+            std::fs::write(&path, &bytes).expect("write flipped record");
+            records += 1;
+        }
+    }
+    assert_eq!(records, cfg.clients.len(), "one done-record per point");
+
+    let resumed = run_sweep_durable(
+        &cfg,
+        &DurableConfig {
+            resume: true,
+            ..durable
+        },
+    )
+    .expect("resumed sweep");
+    assert_eq!(
+        report_json(&cfg, &resumed),
+        report_json(&cfg, &plain),
+        "a flipped done-record counter leaked into the resumed report"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn chaos_sweep_durable_report_matches_plain_sweep() {
     let root = scratch("chaos-sweep");

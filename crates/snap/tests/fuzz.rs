@@ -13,8 +13,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use vip_rng::{for_each_seed, seed_override, SplitMix64};
 use vip_snap::{
-    frame, journal_header, read_header, read_journal_header, scan_frames, write_header, Reader,
-    SnapError, Snapshot, Writer, FRAME_OVERHEAD, JOURNAL_HEADER_LEN,
+    frame, read_header, scan_frames, snapshot, write_header, Reader, SnapError, Snapshot, Writer,
+    FRAME_OVERHEAD, JOURNAL_HEADER_LEN, JOURNAL_MAGIC, MAGIC,
 };
 
 /// Counts every mutated input the suite pushes through a decoder, so the
@@ -33,25 +33,7 @@ struct Job {
     trail: Vec<u16>,
 }
 
-impl Snapshot for Job {
-    fn save(&self, w: &mut Writer) {
-        self.id.save(w);
-        self.key.save(w);
-        self.attempts.save(w);
-        self.snapshot.save(w);
-        self.trail.save(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Job {
-            id: u64::restore(r)?,
-            key: String::restore(r)?,
-            attempts: u8::restore(r)?,
-            snapshot: Option::restore(r)?,
-            trail: Vec::restore(r)?,
-        })
-    }
-}
+snapshot!(struct Job { id, key, attempts, snapshot, trail });
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct FleetImage {
@@ -63,27 +45,7 @@ struct FleetImage {
     pairs: Vec<(u64, bool)>,
 }
 
-impl Snapshot for FleetImage {
-    fn save(&self, w: &mut Writer) {
-        self.seq.save(w);
-        self.queues.save(w);
-        self.jobs.save(w);
-        self.flags.save(w);
-        self.blob.save(w);
-        self.pairs.save(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(FleetImage {
-            seq: u64::restore(r)?,
-            queues: <[VecDeque<u64>; 2]>::restore(r)?,
-            jobs: Vec::restore(r)?,
-            flags: Vec::restore(r)?,
-            blob: Vec::restore(r)?,
-            pairs: Vec::restore(r)?,
-        })
-    }
-}
+snapshot!(struct FleetImage { seq, queues, jobs, flags, blob: bytes, pairs });
 
 fn random_image(rng: &mut SplitMix64) -> FleetImage {
     let job = |rng: &mut SplitMix64| Job {
@@ -120,7 +82,7 @@ fn random_image(rng: &mut SplitMix64) -> FleetImage {
 
 fn encode(image: &FleetImage, fingerprint: u64) -> Vec<u8> {
     let mut w = Writer::new();
-    write_header(&mut w, fingerprint);
+    write_header(&mut w, &MAGIC, fingerprint);
     image.save(&mut w);
     w.into_bytes()
 }
@@ -129,7 +91,7 @@ fn encode(image: &FleetImage, fingerprint: u64) -> Vec<u8> {
 /// whole-buffer-consumed check — the decoder the mutations attack.
 fn decode(buf: &[u8], fingerprint: u64) -> Result<FleetImage, SnapError> {
     let mut r = Reader::new(buf);
-    read_header(&mut r, fingerprint)?;
+    read_header(&mut r, &MAGIC, fingerprint)?;
     let image = FleetImage::restore(&mut r)?;
     r.finish()?;
     Ok(image)
@@ -245,11 +207,14 @@ fn mutated_journals_scan_to_a_clean_prefix() {
                 rng.bytes(n)
             })
             .collect();
-        let mut seg = journal_header(fingerprint);
+        let mut w = Writer::new();
+        write_header(&mut w, &JOURNAL_MAGIC, fingerprint);
+        let mut seg = w.into_bytes();
         for p in &payloads {
             seg.extend_from_slice(&frame(p));
         }
-        let body = read_journal_header(&seg, fingerprint).unwrap();
+        read_header(&mut Reader::new(&seg), &JOURNAL_MAGIC, fingerprint).unwrap();
+        let body = JOURNAL_HEADER_LEN;
         {
             let scan = scan_frames(&seg[body..]);
             assert!(!scan.torn);
@@ -296,7 +261,7 @@ fn mutated_journals_scan_to_a_clean_prefix() {
             let mut m = seg.clone();
             flip_bits(&mut rng, &mut m[..JOURNAL_HEADER_LEN], 1);
             MUTATIONS.fetch_add(1, Ordering::Relaxed);
-            assert!(read_journal_header(&m, fingerprint).is_err());
+            assert!(read_header(&mut Reader::new(&m), &JOURNAL_MAGIC, fingerprint).is_err());
         }
 
         // A frame length prefix spliced to an absurd value cannot make
