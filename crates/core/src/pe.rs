@@ -151,6 +151,11 @@ pub struct Pe {
     /// issues nothing new. Always false outside `System::drain_to_idle`,
     /// so snapshots never see it.
     frozen: bool,
+    /// Result buffer reused by every vector issue, so issuing does not
+    /// allocate. Operands are read in place from the scratchpad; the
+    /// result is staged here before the write-back because it may
+    /// overlap them. Scratch space, not state: never serialized.
+    vec_dst: Vec<u8>,
 }
 
 impl Pe {
@@ -178,6 +183,7 @@ impl Pe {
             trace_limit: 0,
             prog_fp: vip_isa::program_fingerprint(&Program::default()),
             frozen: false,
+            vec_dst: Vec::new(),
         }
     }
 
@@ -853,11 +859,11 @@ impl Pe {
         let (mat_len, vec_len, dst_len) = (mr * vl * es, vl * es, mr * es);
         // Source reads before the destination write: the reference
         // interpreter checks in this order, and trap parity requires it.
-        let mat = self.sp.read(m, mat_len)?;
-        let vec = self.sp.read(v, vec_len)?;
-        let mut dst = vec![0u8; dst_len];
-        alu::mat_vec(vop, hop, ty, &mut dst, &mat, &vec, mr, vl);
-        self.sp.write(d, &dst)?;
+        let mat = self.sp.slice(m, mat_len)?;
+        let vec = self.sp.slice(v, vec_len)?;
+        let dst = staged(&mut self.vec_dst, dst_len);
+        alu::mat_vec(vop, hop, ty, dst, mat, vec, mr, vl);
+        self.sp.write(d, dst)?;
 
         let beats = mr as u64 * VectorUnit::beats(vl, ty);
         let vert = if vop.is_multiply() {
@@ -891,11 +897,11 @@ impl Pe {
         let d = self.regs.read(rd) as usize;
         let a = self.regs.read(rs1) as usize;
         let b = self.regs.read(rs2) as usize;
-        let av = self.sp.read(a, len)?;
-        let bv = self.sp.read(b, len)?;
-        let mut dst = vec![0u8; len];
-        alu::vec_vec(op, ty, &mut dst, &av, &bv, vl);
-        self.sp.write(d, &dst)?;
+        let av = self.sp.slice(a, len)?;
+        let bv = self.sp.slice(b, len)?;
+        let dst = staged(&mut self.vec_dst, len);
+        alu::vec_vec(op, ty, dst, av, bv, vl);
+        self.sp.write(d, dst)?;
 
         let beats = VectorUnit::beats(vl, ty);
         let vert = if op.is_multiply() {
@@ -929,10 +935,10 @@ impl Pe {
         let d = self.regs.read(rd) as usize;
         let a = self.regs.read(rs_vec) as usize;
         let s = self.regs.read(rs_scalar);
-        let av = self.sp.read(a, len)?;
-        let mut dst = vec![0u8; len];
-        alu::vec_scalar(op, ty, &mut dst, &av, s, vl);
-        self.sp.write(d, &dst)?;
+        let av = self.sp.slice(a, len)?;
+        let dst = staged(&mut self.vec_dst, len);
+        alu::vec_scalar(op, ty, dst, av, s, vl);
+        self.sp.write(d, dst)?;
 
         let beats = VectorUnit::beats(vl, ty);
         let vert = if op.is_multiply() {
@@ -1062,6 +1068,13 @@ impl Pe {
         self.faults = Option::restore(r)?;
         Ok(())
     }
+}
+
+/// `buf` cleared and zero-filled to `len` bytes, keeping its capacity.
+fn staged(buf: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    buf.clear();
+    buf.resize(len, 0);
+    buf
 }
 
 #[cfg(test)]

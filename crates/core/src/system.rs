@@ -554,7 +554,7 @@ impl System {
     /// non-empty ingress queue implies the vault's transaction queue is
     /// full (`step` drains ingress while space remains), so that vault's
     /// own next event covers it.
-    fn next_event(&self) -> Option<Cycle> {
+    fn next_event(&mut self) -> Option<Cycle> {
         let floor = self.now + 1;
         let mut next = Cycle::MAX;
         // PEs first: during compute phases some PE is ready every cycle,

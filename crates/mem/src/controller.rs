@@ -34,6 +34,50 @@ struct PendingCompletion {
 
 snapshot!(struct PendingCompletion { at, response, latency });
 
+/// One DRAM command chosen by the FR-FCFS picker
+/// ([`VaultController::pick`]). The index is the queue position of the
+/// transaction the command serves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DramCommand {
+    /// Column read or write for a row-hit transaction.
+    Column(usize),
+    /// PRECHARGE of the transaction's bank, closing a conflicting row.
+    Precharge(usize),
+    /// ACTIVATE of the transaction's row in its precharged bank.
+    Activate(usize),
+}
+
+/// Bytes a request touches: the payload for writes, `len` otherwise.
+fn access_len(req: &MemRequest) -> usize {
+    if req.kind == RequestKind::Write {
+        req.data.len()
+    } else {
+        req.len
+    }
+}
+
+/// Whether two plain transactions touch overlapping byte ranges, and so
+/// must not reorder around each other (RAW/WAR/WAW through DRAM).
+/// Full-empty transactions never conflict: their ordering comes from
+/// the full bit itself, and blocking on them would deadlock
+/// producer-consumer pairs that share a word by design.
+fn overlaps(a: &MemRequest, b: &MemRequest) -> bool {
+    !a.is_full_empty()
+        && !b.is_full_empty()
+        && a.addr < b.addr + access_len(b) as u64
+        && b.addr < a.addr + access_len(a) as u64
+}
+
+/// Whether a request's full-empty bit lets it issue (always, for plain
+/// requests).
+fn fe_permits(storage: &Storage, req: &MemRequest) -> bool {
+    match req.kind {
+        RequestKind::FeLoad => storage.is_full(req.addr),
+        RequestKind::FeStore => !storage.is_full(req.addr),
+        _ => true,
+    }
+}
+
 /// Cycle-level model of one HMC vault: a transaction queue in front of 16
 /// independently-controlled banks sharing one 10 GB/s data path.
 ///
@@ -49,12 +93,31 @@ snapshot!(struct PendingCompletion { at, response, latency });
 /// the queue until the word's full bit permits, then issue like a normal
 /// column access; because command issue is serialized per vault the
 /// test-and-update is atomic (§IV-A's synchronization variables).
+///
+/// The scheduler is incremental. Each queued transaction carries the
+/// number of older, overlapping plain transactions it must wait for,
+/// maintained in O(queue) on enqueue and on column issue. The
+/// controller also caches the earliest cycle at which
+/// [`pick`](Self::pick) can return a command
+/// ([`schedule_bound`](Self::schedule_bound)): [`tick`](Self::tick)
+/// skips the picker before it and [`next_event`](Self::next_event)
+/// reports it. Any change to the queue, the banks or the full-empty
+/// bits invalidates the cache; callers that flip full-empty bits
+/// behind the controller's back (host writes to the store) must call
+/// [`invalidate_schedule`](Self::invalidate_schedule). Both are
+/// derived state: snapshots never carry them.
 #[derive(Debug)]
 pub struct VaultController {
     vault: usize,
     cfg: MemConfig,
     banks: Vec<Bank>,
     queue: VecDeque<Txn>,
+    /// Per queued transaction, in queue order: how many older plain
+    /// transactions overlap it. It may issue only at zero.
+    conflicts: VecDeque<u32>,
+    /// Cached [`schedule_bound`](Self::schedule_bound); `None` when
+    /// stale.
+    bound: Option<Cycle>,
     completions: Vec<PendingCompletion>,
     now: Cycle,
     next_refresh: Cycle,
@@ -80,6 +143,8 @@ impl VaultController {
             cfg,
             banks,
             queue: VecDeque::new(),
+            conflicts: VecDeque::new(),
+            bound: None,
             completions: Vec::new(),
             now: 0,
             next_refresh,
@@ -100,6 +165,15 @@ impl VaultController {
     #[must_use]
     pub fn pending(&self) -> usize {
         self.queue.len()
+    }
+
+    /// The queued transactions, oldest first, each with its count of
+    /// older overlapping plain transactions (zero for full-empty ones).
+    pub fn queued(&self) -> impl Iterator<Item = (&MemRequest, u32)> {
+        self.queue
+            .iter()
+            .map(|t| &t.req)
+            .zip(self.conflicts.iter().copied())
     }
 
     /// Wires (or removes) retention-fault injection at runtime.
@@ -146,11 +220,7 @@ impl VaultController {
         if !self.can_accept() {
             return Err(QueueFullError { vault: self.vault });
         }
-        let len = if req.kind == RequestKind::Write {
-            req.data.len()
-        } else {
-            req.len
-        };
+        let len = access_len(&req);
         let granule = self.cfg.request_granule() as u64;
         assert!(
             (req.addr % granule) + len as u64 <= granule,
@@ -166,12 +236,15 @@ impl VaultController {
             "request at {:#x} routed to vault {} but maps to vault {}",
             req.addr, self.vault, decoded.vault
         );
+        let conflicts = self.queue.iter().filter(|t| overlaps(&t.req, &req)).count();
+        self.conflicts.push_back(conflicts as u32);
         self.queue.push_back(Txn {
             req,
             decoded,
             enqueued: self.now,
             caused_act: false,
         });
+        self.bound = None;
         Ok(())
     }
 
@@ -213,19 +286,66 @@ impl VaultController {
             self.refresh_pending = true;
         }
         if self.refresh_pending {
-            if self.try_start_refresh() {
-                return;
+            // Start the refresh once every bank is ready; until then
+            // precharge one open bank per cycle. While banks drain
+            // tRAS/tWR nothing else may issue, so the refresh starts
+            // promptly.
+            if !self.try_start_refresh() {
+                self.issue_precharge_for_refresh();
             }
-            // Work toward refresh: precharge one open bank if possible.
-            if self.issue_precharge_for_refresh() {
-                return;
-            }
-            // Fall through: banks are draining tRAS/tWR; nothing else may
-            // issue so the refresh starts promptly.
             return;
         }
 
-        self.schedule(storage);
+        let bound = self.schedule_bound(storage);
+        if now < bound {
+            debug_assert_eq!(
+                self.pick(storage, now),
+                None,
+                "the cached schedule bound {bound} gated cycle {now} with a command ready"
+            );
+            return;
+        }
+        if let Some(cmd) = self.pick(storage, now) {
+            self.apply(cmd, storage);
+        }
+    }
+
+    /// The earliest cycle at which [`pick`](Self::pick) can return a
+    /// command, or `Cycle::MAX` if no queued transaction can issue
+    /// without new input: the minimum, over full-empty-permitted
+    /// transactions with no older conflict, of the cycle their bank
+    /// accepts the command they need next (column, precharge or
+    /// activate). Exact, not just a lower bound, while the queue, the
+    /// banks and the full-empty bits stay as they are; every change to
+    /// them invalidates the cached value.
+    pub fn schedule_bound(&mut self, storage: &Storage) -> Cycle {
+        if let Some(bound) = self.bound {
+            return bound;
+        }
+        let bound = self
+            .queue
+            .iter()
+            .zip(&self.conflicts)
+            .filter(|&(txn, &c)| c == 0 && fe_permits(storage, &txn.req))
+            .map(|(txn, _)| {
+                let bank = &self.banks[txn.decoded.bank];
+                match bank.open_row() {
+                    Some(row) if row == txn.decoded.row => bank.earliest_column(),
+                    Some(_) => bank.earliest_precharge(),
+                    None => bank.earliest_activate(),
+                }
+            })
+            .min()
+            .unwrap_or(Cycle::MAX);
+        self.bound = Some(bound);
+        bound
+    }
+
+    /// Marks the cached [`schedule_bound`](Self::schedule_bound) stale.
+    /// Call after changing a full-empty bit of this vault's words
+    /// outside [`tick`](Self::tick).
+    pub fn invalidate_schedule(&mut self) {
+        self.bound = None;
     }
 
     /// A sound lower bound on the next cycle at which this vault can do
@@ -238,52 +358,35 @@ impl VaultController {
     /// "Sound lower bound" means the vault is guaranteed idle on every
     /// cycle in `(now, next_event)`; waking early is harmless (the tick
     /// is a no-op), waking late would change simulated behaviour. The
-    /// estimate deliberately over-approximates readiness: it ignores the
-    /// one-command-per-cycle limit and the FR-FCFS older-conflict rule,
-    /// both of which only make a candidate cycle *early*, never late.
-    #[must_use]
-    pub fn next_event(&self, storage: &Storage) -> Option<Cycle> {
+    /// command candidate is the cached
+    /// [`schedule_bound`](Self::schedule_bound). A transaction blocked
+    /// on its full-empty bit contributes nothing to it: only a column
+    /// issued by this vault (the partner transaction, which has its own
+    /// candidate) or the host can flip the bit, and exactly one side of
+    /// a load/store pair is permitted at any time.
+    pub fn next_event(&mut self, storage: &Storage) -> Option<Cycle> {
         let now = self.now;
-        let mut next: Option<Cycle> = None;
-        let mut consider = |c: Cycle| {
-            let c = c.max(now + 1);
-            next = Some(next.map_or(c, |n: Cycle| n.min(c)));
-        };
+        let mut next = Cycle::MAX;
         // Completions retire when their cycle matures, even mid-refresh.
         for done in &self.completions {
-            consider(done.at);
+            next = next.min(done.at);
         }
         if now < self.refresh_until {
             // The whole vault is blocked; nothing issues earlier.
-            consider(self.refresh_until);
+            next = next.min(self.refresh_until);
         } else if self.refresh_pending {
             // Working toward refresh: one precharge per cycle, or
             // waiting out tRAS/tWR. The window is tightly bounded, so
             // step through it.
-            consider(now + 1);
+            next = now + 1;
         } else {
             // Refresh fires every tREFI regardless of load (the counter
             // must match a cycle-by-cycle run exactly).
-            consider(self.next_refresh);
-            for txn in &self.queue {
-                if !self.fe_permits(storage, &txn.req) {
-                    // Blocked on the full-empty bit. Only a column issued
-                    // by this vault (the partner transaction, which has
-                    // its own candidate below) or the host can flip it,
-                    // so this transaction contributes no event. Exactly
-                    // one side of a load/store pair is permitted at any
-                    // time, so the pair always produces a candidate.
-                    continue;
-                }
-                let bank = &self.banks[txn.decoded.bank];
-                consider(match bank.open_row() {
-                    Some(row) if row == txn.decoded.row => bank.earliest_column(),
-                    Some(_) => bank.earliest_precharge(),
-                    None => bank.earliest_activate(),
-                });
-            }
+            next = next
+                .min(self.next_refresh)
+                .min(self.schedule_bound(storage));
         }
-        next
+        Some(next.max(now + 1))
     }
 
     /// Jumps the vault's clock to `to`, replaying the per-cycle counters
@@ -320,6 +423,7 @@ impl VaultController {
         }
         self.now = to;
         self.refresh_pending = false;
+        self.bound = None;
         let refi = self.cfg.timing.t_refi();
         while self.next_refresh <= to {
             self.next_refresh += refi;
@@ -362,6 +466,16 @@ impl VaultController {
         }
         self.banks = banks;
         self.queue = VecDeque::restore(r)?;
+        self.conflicts = (0..self.queue.len())
+            .map(|i| {
+                let req = &self.queue[i].req;
+                self.queue
+                    .range(..i)
+                    .filter(|t| overlaps(&t.req, req))
+                    .count() as u32
+            })
+            .collect();
+        self.bound = None;
         self.completions = Vec::restore(r)?;
         self.now = r.u64()?;
         self.next_refresh = r.u64()?;
@@ -384,115 +498,72 @@ impl VaultController {
             self.next_refresh += self.cfg.timing.t_refi();
             self.refresh_pending = false;
             self.stats.refreshes += 1;
+            self.bound = None;
             true
         } else {
             false
         }
     }
 
-    fn issue_precharge_for_refresh(&mut self) -> bool {
+    fn issue_precharge_for_refresh(&mut self) {
         let now = self.now;
         let timing = self.cfg.timing;
         for bank in &mut self.banks {
             if bank.can_precharge(now) {
                 bank.precharge(now, &timing);
-                return true;
+                self.bound = None;
+                return;
             }
         }
-        false
     }
 
-    /// Whether an older queued transaction touches an overlapping
-    /// address range. Plain transactions must not reorder around each
-    /// other when they overlap (RAW/WAR/WAW through DRAM); full-empty
-    /// transactions are exempt — their ordering comes from the full bit
-    /// itself, and blocking on them would deadlock producer-consumer
-    /// pairs that share a word by design.
-    fn has_older_conflict(&self, idx: usize) -> bool {
-        let txn = &self.queue[idx];
-        if txn.req.is_full_empty() {
-            return false;
+    /// FR-FCFS at cycle `now`, as a pure function of the controller's
+    /// state: the oldest row-hit transaction whose bank is ready gets a
+    /// column command; failing that, the oldest transaction needing row
+    /// work gets the precharge or activate its bank can take. Only
+    /// transactions with no older conflict whose full-empty bit permits
+    /// are considered — opening a blocked full-empty transaction's row
+    /// would be wasted work and can livelock conflicting rows.
+    #[must_use]
+    pub fn pick(&self, storage: &Storage, now: Cycle) -> Option<DramCommand> {
+        let ready = |i: usize| self.conflicts[i] == 0 && fe_permits(storage, &self.queue[i].req);
+        let hit = (0..self.queue.len()).find(|&i| {
+            let txn = &self.queue[i];
+            self.banks[txn.decoded.bank].can_access(now, txn.decoded.row) && ready(i)
+        });
+        if let Some(i) = hit {
+            return Some(DramCommand::Column(i));
         }
-        let len = if txn.req.kind == RequestKind::Write {
-            txn.req.data.len()
-        } else {
-            txn.req.len
-        } as u64;
-        let (start, end) = (txn.req.addr, txn.req.addr + len);
-        self.queue.iter().take(idx).any(|older| {
-            if older.req.is_full_empty() {
-                return false;
+        (0..self.queue.len()).filter(|&i| ready(i)).find_map(|i| {
+            let txn = &self.queue[i];
+            let bank = &self.banks[txn.decoded.bank];
+            match bank.open_row() {
+                // Waiting on tRCD/tCCD.
+                Some(open) if open == txn.decoded.row => None,
+                Some(_) => bank.can_precharge(now).then_some(DramCommand::Precharge(i)),
+                None => bank.can_activate(now).then_some(DramCommand::Activate(i)),
             }
-            let olen = if older.req.kind == RequestKind::Write {
-                older.req.data.len()
-            } else {
-                older.req.len
-            } as u64;
-            start < older.req.addr + olen && older.req.addr < end
         })
     }
 
-    /// FR-FCFS: issue a ready column command, else open the oldest
-    /// transaction's row.
-    fn schedule(&mut self, storage: &mut Storage) {
-        // Pass 1: oldest row-hit transaction whose bank and bus are ready.
+    /// Issues a command [`pick`](Self::pick) chose this cycle.
+    fn apply(&mut self, cmd: DramCommand, storage: &mut Storage) {
         let now = self.now;
-        let hit_idx = (0..self.queue.len()).find(|&i| {
-            let txn = &self.queue[i];
-            self.banks[txn.decoded.bank].can_access(now, txn.decoded.row)
-                && self.fe_permits(storage, &txn.req)
-                && !self.has_older_conflict(i)
-        });
-        if let Some(idx) = hit_idx {
-            self.issue_column(idx, storage);
-            return;
-        }
-
-        // Pass 2: oldest transaction needing row work. Skip full-empty
-        // transactions whose bit does not permit — opening their row
-        // would be wasted work and can livelock conflicting rows.
-        for idx in 0..self.queue.len() {
-            let (bank_idx, row, permitted) = {
-                let txn = &self.queue[idx];
-                (
-                    txn.decoded.bank,
-                    txn.decoded.row,
-                    self.fe_permits(storage, &txn.req),
-                )
-            };
-            if !permitted || self.has_older_conflict(idx) {
-                continue;
+        let timing = self.cfg.timing;
+        match cmd {
+            DramCommand::Column(i) => self.issue_column(i, storage),
+            DramCommand::Precharge(i) => {
+                self.banks[self.queue[i].decoded.bank].precharge(now, &timing);
+                self.stats.row_conflicts += 1;
             }
-            let bank = &mut self.banks[bank_idx];
-            match bank.open_row() {
-                Some(open) if open == row => continue, // waiting on tRCD/bus
-                Some(_) => {
-                    if bank.can_precharge(now) {
-                        let timing = self.cfg.timing;
-                        bank.precharge(now, &timing);
-                        self.stats.row_conflicts += 1;
-                        return;
-                    }
-                }
-                None => {
-                    if bank.can_activate(now) {
-                        let timing = self.cfg.timing;
-                        bank.activate(now, row, &timing);
-                        self.queue[idx].caused_act = true;
-                        self.stats.row_misses += 1;
-                        return;
-                    }
-                }
+            DramCommand::Activate(i) => {
+                let txn = &mut self.queue[i];
+                self.banks[txn.decoded.bank].activate(now, txn.decoded.row, &timing);
+                txn.caused_act = true;
+                self.stats.row_misses += 1;
             }
         }
-    }
-
-    fn fe_permits(&self, storage: &Storage, req: &MemRequest) -> bool {
-        match req.kind {
-            RequestKind::FeLoad => storage.is_full(req.addr),
-            RequestKind::FeStore => !storage.is_full(req.addr),
-            _ => true,
-        }
+        self.bound = None;
     }
 
     /// The protected read data path: lands any retention faults due on
@@ -550,16 +621,19 @@ impl VaultController {
 
     fn issue_column(&mut self, idx: usize, storage: &mut Storage) {
         let mut txn = self.queue.remove(idx).expect("index in range");
+        self.conflicts.remove(idx);
+        // Younger transactions that waited on this one wait on one less.
+        for (younger, c) in self.queue.iter().zip(self.conflicts.iter_mut()).skip(idx) {
+            if overlaps(&younger.req, &txn.req) {
+                *c -= 1;
+            }
+        }
         let now = self.now;
         let timing = self.cfg.timing;
         // A request spanning several columns of one row issues its
         // column commands tCCD apart (same bank); the data occupies the
         // shared bus for one burst per column.
-        let len = if txn.req.kind == RequestKind::Write {
-            txn.req.data.len()
-        } else {
-            txn.req.len
-        } as u64;
+        let len = access_len(&txn.req) as u64;
         let col = self.cfg.col_bytes as u64;
         let cols = ((txn.req.addr % col) + len).div_ceil(col).max(1);
         let last_cmd = now + (cols - 1) * timing.t_ccd();

@@ -22,6 +22,9 @@ pub struct Hmc {
     cfg: MemConfig,
     storage: Storage,
     vaults: Vec<VaultController>,
+    /// [`tick_with`](Self::tick_with)'s per-vault response buffer, kept
+    /// across cycles so ticking does not allocate.
+    responses: Vec<MemResponse>,
 }
 
 impl Hmc {
@@ -40,6 +43,7 @@ impl Hmc {
             cfg,
             storage: Storage::new(),
             vaults,
+            responses: Vec::new(),
         }
     }
 
@@ -100,10 +104,9 @@ impl Hmc {
     /// per completion — the form the system simulator uses to route
     /// completions onto the network at the right vault.
     pub fn tick_with(&mut self, mut sink: impl FnMut(usize, MemResponse)) {
-        let mut buf = Vec::new();
         for (v, vault) in self.vaults.iter_mut().enumerate() {
-            vault.tick(&mut self.storage, &mut buf);
-            for resp in buf.drain(..) {
+            vault.tick(&mut self.storage, &mut self.responses);
+            for resp in self.responses.drain(..) {
                 sink(v, resp);
             }
         }
@@ -119,9 +122,9 @@ impl Hmc {
     /// [`VaultController::next_event`]). Always `Some`: refresh fires
     /// every tREFI even when the stack is idle.
     #[must_use]
-    pub fn next_event(&self) -> Option<Cycle> {
+    pub fn next_event(&mut self) -> Option<Cycle> {
         self.vaults
-            .iter()
+            .iter_mut()
             .filter_map(|v| v.next_event(&self.storage))
             .min()
     }
@@ -153,8 +156,17 @@ impl Hmc {
 
     /// Direct mutable access to the backing store (functional-tier
     /// stores; bypasses all timing, like [`host_write`](Self::host_write)).
+    /// The caller may flip full-empty bits, so every vault's cached
+    /// schedule bound is invalidated.
     pub fn storage_mut(&mut self) -> &mut Storage {
+        self.invalidate_schedules();
         &mut self.storage
+    }
+
+    fn invalidate_schedules(&mut self) {
+        for vault in &mut self.vaults {
+            vault.invalidate_schedule();
+        }
     }
 
     /// Zero-time host read (initialization / result extraction).
@@ -188,6 +200,7 @@ impl Hmc {
     /// Host control of a word's full-empty bit.
     pub fn host_set_full(&mut self, addr: u64, full: bool) {
         self.storage.set_full(addr, full);
+        self.invalidate_schedules();
     }
 
     /// Per-vault statistics.

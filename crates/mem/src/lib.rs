@@ -55,7 +55,7 @@ mod timing;
 
 pub use addr::{AddressMapping, DecodedAddr};
 pub use config::{ConfigError, MemConfig, RowPolicy};
-pub use controller::VaultController;
+pub use controller::{DramCommand, VaultController};
 pub use hmc::Hmc;
 pub use remap::BitShuffle;
 pub use req::{MemRequest, MemResponse, QueueFullError, ReqId, RequestKind};

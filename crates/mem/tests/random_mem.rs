@@ -1,9 +1,11 @@
 //! Seeded-random tests for the DRAM model: data integrity under random
-//! traffic, conservation of requests, and policy invariants. Failures
+//! traffic, conservation of requests, policy invariants, and the
+//! incremental FR-FCFS scheduler's bookkeeping. Failures
 //! print their seed and re-run alone under `VIP_TEST_SEED`.
 
-use vip_mem::{Hmc, MemConfig, MemRequest, MemResponse};
+use vip_mem::{Hmc, MemConfig, MemRequest, MemResponse, RequestKind, Storage, VaultController};
 use vip_rng::{for_each_seed, SplitMix64};
+use vip_snap::{Reader, Snapshot, Writer};
 
 /// A randomly generated plain transaction (no full-empty).
 #[derive(Debug, Clone)]
@@ -208,4 +210,181 @@ fn full_empty_pairs_settle() {
             assert_eq!(v, 100 + i);
         }
     }
+}
+
+/// One controller over its own backing store, with every response it
+/// has produced.
+struct Vault {
+    vc: VaultController,
+    storage: Storage,
+    out: Vec<MemResponse>,
+}
+
+impl Vault {
+    /// Ticks once, checking the incremental scheduler's derived state
+    /// against first principles on the way.
+    fn tick_checked(&mut self) {
+        let queued: Vec<(&MemRequest, u32)> = self.vc.queued().collect();
+        let recount: Vec<u32> = (0..queued.len())
+            .map(|i| {
+                let n = queued[..i]
+                    .iter()
+                    .filter(|(older, _)| ranges_overlap(older, queued[i].0))
+                    .count();
+                n as u32
+            })
+            .collect();
+        let counts: Vec<u32> = queued.iter().map(|&(_, c)| c).collect();
+        let now = self.vc.stats().elapsed_cycles;
+        assert_eq!(counts, recount, "conflict counts at cycle {now}");
+
+        let bound = self.vc.schedule_bound(&self.storage);
+        let next = now + 1;
+        if next < bound {
+            assert_eq!(
+                self.vc.pick(&self.storage, next),
+                None,
+                "bound {bound} gates cycle {next} with a command ready"
+            );
+        }
+        if bound < u64::MAX {
+            assert!(
+                self.vc.pick(&self.storage, bound.max(next)).is_some(),
+                "nothing to issue at the bound {bound}"
+            );
+        }
+        self.vc.tick(&mut self.storage, &mut self.out);
+    }
+
+    /// A twin restored from a snapshot of this vault and its store.
+    fn restored_twin(&self, cfg: &MemConfig) -> Vault {
+        let mut w = Writer::new();
+        self.storage.save(&mut w);
+        self.vc.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let storage = Storage::restore(&mut r).expect("store restores");
+        let mut vc = VaultController::new(0, cfg.clone());
+        vc.restore_state(&mut r).expect("controller restores");
+        r.finish().expect("no trailing bytes");
+        Vault {
+            vc,
+            storage,
+            out: Vec::new(),
+        }
+    }
+}
+
+/// The overlap rule, restated from the request fields: plain requests
+/// whose byte ranges intersect; full-empty requests never conflict.
+fn ranges_overlap(a: &MemRequest, b: &MemRequest) -> bool {
+    let span = |r: &MemRequest| {
+        let len = if r.kind == RequestKind::Write {
+            r.data.len()
+        } else {
+            r.len
+        };
+        (r.addr, r.addr + len as u64)
+    };
+    let ((a0, a1), (b0, b1)) = (span(a), span(b));
+    !a.is_full_empty() && !b.is_full_empty() && a0 < b1 && b0 < a1
+}
+
+/// One arrival at vault 0: a plain read or write inside one request
+/// granule of a few rows and banks (so ranges overlap and rows
+/// conflict), or a full-empty store/load pair on one of four words.
+/// Pairs keep every word's stores and loads balanced, so the queue
+/// always drains.
+fn random_arrival(rng: &mut SplitMix64, cfg: &MemConfig, id: &mut u64) -> Vec<MemRequest> {
+    let mut next_id = || {
+        *id += 1;
+        *id
+    };
+    let row_stride = (cfg.banks_per_vault * cfg.row_bytes) as u64;
+    if rng.below(5) == 0 {
+        let word = 3 * row_stride + 8 * rng.below(4);
+        let mut pair = vec![
+            MemRequest::fe_store(next_id(), word, rng.next_u64()),
+            MemRequest::fe_load(next_id(), word),
+        ];
+        if rng.bool() {
+            pair.reverse();
+        }
+        return pair;
+    }
+    let granule = cfg.request_granule() as u64;
+    let base = rng.below(3) * row_stride
+        + rng.below(cfg.banks_per_vault.min(4) as u64) * cfg.row_bytes as u64
+        + rng.below((cfg.row_bytes as u64 / granule).clamp(1, 4)) * granule;
+    let off = rng.below(granule);
+    let len = 1 + rng.below(granule - off) as usize;
+    let addr = base + off;
+    assert_eq!(cfg.vault_of(addr), 0);
+    vec![if rng.bool() {
+        MemRequest::write(next_id(), addr, rng.bytes(len))
+    } else {
+        MemRequest::read(next_id(), addr, len)
+    }]
+}
+
+/// The incremental FR-FCFS bookkeeping matches a brute-force recount
+/// after every tick, the cached schedule bound only gates cycles on
+/// which the picker has nothing to issue (and is tight), and a
+/// controller restored from a mid-queue snapshot — whose derived state
+/// is rebuilt, not serialized — produces identical responses and
+/// statistics to the end.
+#[test]
+fn incremental_scheduler_matches_brute_force() {
+    for_each_seed(
+        "incremental_scheduler_matches_brute_force",
+        0x5c4ed,
+        24,
+        |seed| {
+            let mut rng = SplitMix64::new(seed);
+            let mut configs = MemConfig::figure5_sweep();
+            configs.push(MemConfig::with_hmc_packets());
+            let cfg = configs[rng.usize_in(0..configs.len())].clone();
+            let mut a = Vault {
+                vc: VaultController::new(0, cfg.clone()),
+                storage: Storage::new(),
+                out: Vec::new(),
+            };
+            let mut twin: Option<Vault> = None;
+            let arrivals = rng.usize_in(40..200);
+            let snap_after = rng.usize_in(1..arrivals);
+            // Mean gap between arrivals, in cycles: from back-to-back (the
+            // queue saturates) to sparse (the vault idles between them).
+            let gap = 1 + rng.below(12);
+            let mut sent = 0;
+            let mut id = 0;
+            let mut cycles = 0u64;
+            while sent < arrivals || !a.vc.is_idle() {
+                if sent < arrivals && rng.below(gap) == 0 {
+                    let reqs = random_arrival(&mut rng, &cfg, &mut id);
+                    if cfg.trans_queue_depth - a.vc.pending() >= reqs.len() {
+                        for req in reqs {
+                            if let Some(b) = &mut twin {
+                                b.vc.enqueue(req.clone()).expect("twin has room");
+                            }
+                            a.vc.enqueue(req).expect("checked room");
+                        }
+                        sent += 1;
+                    }
+                }
+                if twin.is_none() && sent >= snap_after && a.vc.pending() > 0 {
+                    a.out.clear();
+                    twin = Some(a.restored_twin(&cfg));
+                }
+                a.tick_checked();
+                if let Some(b) = &mut twin {
+                    b.tick_checked();
+                }
+                cycles += 1;
+                assert!(cycles < 2_000_000, "vault did not drain");
+            }
+            let b = twin.expect("a snapshot was taken mid-queue");
+            assert_eq!(a.out, b.out, "responses after the snapshot");
+            assert_eq!(a.vc.stats(), b.vc.stats());
+        },
+    );
 }
