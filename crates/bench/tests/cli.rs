@@ -97,3 +97,53 @@ fn env_var_precedence() {
     unsafe { std::env::remove_var("VIP_TEST_SEED") };
     assert_eq!(env_seed(9), 9);
 }
+
+/// The serving binary refuses every degenerate or contradictory
+/// invocation up front — a zero fleet, queue, quantum, request or
+/// client count, an empty sweep, a flag of the other sweep axis, the
+/// retired fleet-cadence flag — with a one-line message and the usage
+/// exit, before any worker thread starts and without writing a report.
+#[test]
+fn serve_rejects_degenerate_and_cross_axis_flags_with_usage_exit() {
+    const SERVE: &str = env!("CARGO_BIN_EXE_serve");
+    let cases: &[&[&str]] = &[
+        &["--quick", "--devices", "0"],
+        &["--quick", "--queue-depth", "0"],
+        &["--quick", "--quantum", "0"],
+        &["--quick", "--requests", "0"],
+        &["--clients-max", "0"],
+        &["--quick", "--scales", "0,100", "--clients", "0"],
+        &["--quick", "--scales", "0,100", "--devices", "0"],
+        &["--quick", "--scales", "0,100", "--requests", "0"],
+        &["--scales", ","],
+        &["--quick", "--scales", "0,100", "--clients-max", "4"],
+        &["--quick", "--crash-ppm", "1000"],
+        &["--quick", "--snapshot-every", "2"],
+        &["--quick", "--floor", "40"],
+        &["--quick", "--fleet-checkpoint-every", "8"],
+    ];
+    let dir = std::env::temp_dir().join(format!("vip-serve-cli-{}", std::process::id()));
+    for case in cases {
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = std::process::Command::new(SERVE)
+            .args(*case)
+            .arg("--dir")
+            .arg(&dir)
+            .output()
+            .expect("serve binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{case:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{case:?} panicked: {stderr}");
+        let reports: Vec<_> = std::fs::read_dir(&dir)
+            .map(|entries| {
+                entries
+                    .flatten()
+                    .map(|e| e.file_name().to_string_lossy().into_owned())
+                    .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+                    .collect()
+            })
+            .unwrap_or_default();
+        assert!(reports.is_empty(), "{case:?} wrote {reports:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

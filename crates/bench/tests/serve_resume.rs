@@ -1,5 +1,5 @@
-//! Host-crash durability for the serving binaries: kill `serve` and
-//! `chaos` mid-run — with a real SIGKILL and with the
+//! Host-crash durability for the serving binary on both sweep axes:
+//! kill `serve` mid-run — with a real SIGKILL and with the
 //! `VIP_DURABLE_CRASH` hook that aborts at exact journal/checkpoint
 //! write sites — then `--resume`, and the final report must be
 //! byte-identical to an uninterrupted run's.
@@ -9,7 +9,6 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 const SERVE: &str = env!("CARGO_BIN_EXE_serve");
-const CHAOS: &str = env!("CARGO_BIN_EXE_chaos");
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vip-serve-resume-{}-{tag}", std::process::id()));
@@ -37,20 +36,10 @@ fn serve_args(dir: &Path, durable: bool, resume: bool) -> Vec<String> {
     args
 }
 
+/// The same run on the chaos axis, at the chaos sweep's usual scales.
 fn chaos_args(dir: &Path, durable: bool, resume: bool) -> Vec<String> {
-    let mut args = vec![
-        "--dir".to_owned(),
-        dir.display().to_string(),
-        "--quick".to_owned(),
-        "--jobs".to_owned(),
-        "1".to_owned(),
-    ];
-    if durable {
-        args.extend(["--fleet-checkpoint-every".to_owned(), "8".to_owned()]);
-    }
-    if resume {
-        args.push("--resume".to_owned());
-    }
+    let mut args = serve_args(dir, durable, resume);
+    args.extend(["--scales".to_owned(), "0,25,50,100,200".to_owned()]);
     args
 }
 
@@ -125,19 +114,19 @@ fn serve_crash_hook_sites_all_resume_to_identical_reports() {
     let _ = std::fs::remove_dir_all(&clean);
 }
 
-/// Same contract for the chaos binary: fleet-level durability composes
-/// with injected device failures, and `--fleet-checkpoint-every` is
-/// orthogonal to the per-job `--checkpoint-every` recovery cadence.
+/// Same contract on the chaos axis: fleet-level durability composes
+/// with injected device failures, and `--checkpoint-every` is
+/// orthogonal to the per-job `--snapshot-every` recovery cadence.
 #[test]
 fn chaos_crash_hook_resumes_to_identical_report() {
     let clean = scratch_dir("chaos-clean");
-    run_ok(CHAOS, &chaos_args(&clean, false, false));
+    run_ok(SERVE, &chaos_args(&clean, false, false));
     let reference = std::fs::read(clean.join("BENCH_chaos.json")).expect("reference report");
 
     let dir = scratch_dir("chaos-crashed");
     let report = dir.join("BENCH_chaos.json");
-    run_crashed(CHAOS, &chaos_args(&dir, true, false), "event:15", &report);
-    run_ok(CHAOS, &chaos_args(&dir, true, true));
+    run_crashed(SERVE, &chaos_args(&dir, true, false), "event:15", &report);
+    run_ok(SERVE, &chaos_args(&dir, true, true));
     let resumed = std::fs::read(&report).expect("resumed report");
     assert_eq!(
         resumed, reference,

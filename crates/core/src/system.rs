@@ -733,46 +733,11 @@ impl System {
     /// As for [`run`](System::run): [`SimError::Hang`] at the limit, or
     /// whatever error a step raises.
     pub fn run_naive(&mut self, max_cycles: Cycle) -> Result<Cycle, SimError> {
-        match self.run_naive_until(max_cycles, max_cycles)? {
-            RunOutcome::Quiesced(at) => Ok(at),
-            RunOutcome::Paused(_) => {
-                unreachable!("pause bound equals the limit, which hangs instead")
-            }
-        }
-    }
-
-    /// [`run_naive`](System::run_naive) with a pause bound — the naive
-    /// engine's counterpart to [`run_until`](System::run_until), with
-    /// the same exact-pause contract: the clock stops at `pause_at` (or
-    /// quiescence, whichever comes first), and a paused run continued —
-    /// directly or via a snapshot restored onto a fresh system —
-    /// finishes bit-identically to one that never paused. `pause_at` is
-    /// clamped to `max_cycles`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_naive`](System::run_naive): [`SimError::Hang`] if
-    /// `max_cycles` arrives without quiescence, or whatever error a
-    /// step raises.
-    pub fn run_naive_until(
-        &mut self,
-        pause_at: Cycle,
-        max_cycles: Cycle,
-    ) -> Result<RunOutcome, SimError> {
-        let pause_at = pause_at.min(max_cycles);
-        while self.now < pause_at {
+        while self.now < max_cycles {
             self.step()?;
             if self.is_quiesced() {
-                return Ok(RunOutcome::Quiesced(self.now));
+                return Ok(self.now);
             }
-        }
-        if pause_at < max_cycles {
-            // Catches a system that was already quiesced at entry (the
-            // in-loop check covers everything the slice itself stepped).
-            if self.is_quiesced() {
-                return Ok(RunOutcome::Quiesced(self.now));
-            }
-            return Ok(RunOutcome::Paused(self.now));
         }
         Err(SimError::Hang(Box::new(self.hang_report(max_cycles))))
     }

@@ -28,25 +28,17 @@
 //!   device is quarantined (or, on a second draw, permanently
 //!   decommissioned).
 //!
-//! The recovery half lives in [`scheduler`](crate::scheduler); this
-//! module also carries the chaos *sweep* — availability, recovery
-//! latency, and goodput versus injected failure rate, rendered as
-//! `BENCH_chaos.json`.
-
-use std::fs;
-use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! The recovery half lives in [`scheduler`](crate::scheduler); the
+//! chaos sweep — availability, recovery latency, and goodput versus
+//! injected failure rate, rendered as `BENCH_chaos.json` — is the
+//! chaos-scale axis of [`sweep`](crate::sweep).
 
 use vip_core::FailureClass;
 use vip_faults::FaultConfig;
 use vip_rng::SplitMix64;
-use vip_snap::{snapshot, Fingerprint, Snapshot, Writer};
+use vip_snap::snapshot;
 
-use crate::durable::{run_dir, DurableConfig, DurableError, PointStore};
-use crate::metrics::{availability_pct, ms, recovery_summary, throughput_rps};
-use crate::scheduler::{serve, serve_durable, Rejection, ServeConfig, ServeOutcome};
-use crate::workload::{LoadMode, MixEntry, Workload};
+use crate::scheduler::Rejection;
 
 /// Chaos-model knobs. All rates are integer parts-per-million
 /// ([`vip_faults::PPM_SCALE`]) so configs stay `Copy + Eq`.
@@ -303,342 +295,6 @@ snapshot!(struct ChaosStats {
     crashes, induced_hangs, hang_failures, fault_failures, job_retries, recoveries_snapshot,
     recoveries_restart, quarantines, probes, probe_failures, decommissions, timeouts, shed, failed,
 });
-
-/// One chaos sweep's shape: a fixed closed-loop workload replayed at
-/// increasing chaos intensity.
-#[derive(Debug, Clone)]
-pub struct ChaosSweepConfig {
-    /// Fleet and policy knobs; `serve.chaos` must be `Some` — it is
-    /// the 100 % point the scales multiply.
-    pub serve: ServeConfig,
-    /// Workload seed shared by every point.
-    pub seed: u64,
-    /// Requests per point.
-    pub requests: usize,
-    /// Concurrent closed-loop clients.
-    pub clients: usize,
-    /// Mean client think time (cycles).
-    pub think: u64,
-    /// Chaos intensity per point, as percent of the configured crash
-    /// and hang rates (0 = clean baseline).
-    pub scales: Vec<u32>,
-    /// Worker threads for the point fan-out (wall clock only, never
-    /// results).
-    pub jobs: usize,
-    /// The request mix.
-    pub mix: Vec<MixEntry>,
-}
-
-impl ChaosSweepConfig {
-    /// The run fingerprint durable state is filed under — every
-    /// result-affecting knob of the chaos sweep. `jobs` is excluded:
-    /// the fan-out width never changes results.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut f = Fingerprint::new();
-        f.push_bytes(b"chaos-sweep");
-        self.serve.absorb(&mut f);
-        f.push_u64(self.seed);
-        f.push_usize(self.requests);
-        f.push_usize(self.clients);
-        f.push_u64(self.think);
-        f.push_usize(self.scales.len());
-        for &s in &self.scales {
-            f.push_u64(u64::from(s));
-        }
-        f.push_usize(self.mix.len());
-        for entry in &self.mix {
-            let mut w = Writer::new();
-            entry.class.save(&mut w);
-            f.push_bytes(&w.into_bytes());
-            f.push_u64(u64::from(entry.weight));
-            f.push_u64(u64::from(entry.priority));
-        }
-        f.finish()
-    }
-}
-
-/// One completed chaos sweep point.
-#[derive(Debug)]
-pub struct ChaosPoint {
-    /// Percent of the configured crash/hang rates injected here.
-    pub scale: u32,
-    /// The full serving outcome.
-    pub outcome: ServeOutcome,
-}
-
-/// Runs every point of the chaos sweep: the same seeded closed-loop
-/// workload at each chaos scale, fanned out over a work-stealing pool
-/// with results in input order. Deterministic at any `jobs`.
-///
-/// # Panics
-///
-/// Panics if `serve.chaos` is `None` — a chaos sweep over a fleet
-/// with chaos disabled would sweep nothing.
-#[must_use]
-pub fn run_chaos_sweep(cfg: &ChaosSweepConfig) -> Vec<ChaosPoint> {
-    let base = cfg.serve.chaos.expect("chaos sweep needs a chaos config");
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<ChaosPoint>>> =
-        Mutex::new(cfg.scales.iter().map(|_| None).collect());
-    let workers = cfg.jobs.max(1).min(cfg.scales.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&scale) = cfg.scales.get(i) else {
-                    break;
-                };
-                let mut serve_cfg = cfg.serve.clone();
-                serve_cfg.chaos = Some(base.scaled(scale));
-                let workload = Workload {
-                    seed: cfg.seed,
-                    requests: cfg.requests,
-                    mode: LoadMode::Closed {
-                        clients: cfg.clients,
-                        think: cfg.think,
-                    },
-                    mix: cfg.mix.clone(),
-                };
-                let outcome = serve(&serve_cfg, &workload);
-                slots.lock().expect("chaos slots")[i] = Some(ChaosPoint { scale, outcome });
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("chaos slots")
-        .into_iter()
-        .map(|p| p.expect("every point ran"))
-        .collect()
-}
-
-/// [`run_chaos_sweep`] with host-crash durability: each point journals
-/// its scheduler events and checkpoints its whole fleet (chaos RNG
-/// cursors included) under `run_dir(durable.dir, cfg.fingerprint())`,
-/// and with `durable.resume` set a rerun continues every interrupted
-/// point — the final report is byte-identical to an uninterrupted
-/// run's. Without `resume`, prior state for this configuration is
-/// wiped first.
-///
-/// # Errors
-///
-/// [`DurableError`] when the filesystem refuses a read or write.
-///
-/// # Panics
-///
-/// Panics if `serve.chaos` is `None`, like [`run_chaos_sweep`].
-pub fn run_chaos_sweep_durable(
-    cfg: &ChaosSweepConfig,
-    durable: &DurableConfig,
-) -> Result<Vec<ChaosPoint>, DurableError> {
-    let base = cfg.serve.chaos.expect("chaos sweep needs a chaos config");
-    let fingerprint = cfg.fingerprint();
-    if !durable.resume {
-        let dir = run_dir(&durable.dir, fingerprint);
-        if let Err(e) = fs::remove_dir_all(&dir) {
-            if e.kind() != io::ErrorKind::NotFound {
-                return Err(DurableError::Io {
-                    op: "wipe run directory",
-                    path: dir,
-                    source: e,
-                });
-            }
-        }
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Result<ChaosPoint, DurableError>>>> =
-        Mutex::new(cfg.scales.iter().map(|_| None).collect());
-    let workers = cfg.jobs.max(1).min(cfg.scales.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&scale) = cfg.scales.get(i) else {
-                    break;
-                };
-                let mut serve_cfg = cfg.serve.clone();
-                serve_cfg.chaos = Some(base.scaled(scale));
-                let workload = Workload {
-                    seed: cfg.seed,
-                    requests: cfg.requests,
-                    mode: LoadMode::Closed {
-                        clients: cfg.clients,
-                        think: cfg.think,
-                    },
-                    mix: cfg.mix.clone(),
-                };
-                let result =
-                    PointStore::open(&durable.dir, i, fingerprint).and_then(|mut store| {
-                        serve_durable(&serve_cfg, &workload, &mut store, durable.checkpoint_every)
-                            .map(|outcome| ChaosPoint { scale, outcome })
-                    });
-                slots.lock().expect("chaos slots")[i] = Some(result);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("chaos slots")
-        .into_iter()
-        .map(|p| p.expect("every point ran"))
-        .collect()
-}
-
-fn point_json(p: &ChaosPoint) -> String {
-    let o = &p.outcome;
-    let served = o.records.iter().filter(|r| r.status.is_served()).count();
-    let recovered = o
-        .records
-        .iter()
-        .filter(|r| matches!(r.status, crate::chaos::Terminal::Recovered { .. }))
-        .count();
-    let rec_lat = recovery_summary(o);
-    let c = &o.chaos;
-    format!(
-        "    {{\"scale_pct\": {}, \"issued\": {}, \"served\": {}, \"recovered\": {}, \
-         \"failed\": {}, \"timeouts\": {}, \"shed\": {}, \"rejections\": {}, \
-         \"availability_pct\": {:.4}, \"goodput_rps\": {:.2}, \
-         \"recovery_p50_ms\": {:.4}, \"recovery_p99_ms\": {:.4}, \
-         \"crashes\": {}, \"induced_hangs\": {}, \"hang_failures\": {}, \
-         \"fault_failures\": {}, \"job_retries\": {}, \"recoveries_snapshot\": {}, \
-         \"recoveries_restart\": {}, \"quarantines\": {}, \"probes\": {}, \
-         \"probe_failures\": {}, \"decommissions\": {}, \"makespan_cycles\": {}}}",
-        p.scale,
-        o.records.len(),
-        served,
-        recovered,
-        c.failed,
-        c.timeouts,
-        c.shed,
-        o.rejections,
-        availability_pct(o),
-        throughput_rps(o),
-        ms(rec_lat.map_or(0, |l| l.p50)),
-        ms(rec_lat.map_or(0, |l| l.p99)),
-        c.crashes,
-        c.induced_hangs,
-        c.hang_failures,
-        c.fault_failures,
-        c.job_retries,
-        c.recoveries_snapshot,
-        c.recoveries_restart,
-        c.quarantines,
-        c.probes,
-        c.probe_failures,
-        c.decommissions,
-        o.makespan,
-    )
-}
-
-/// Renders `BENCH_chaos.json`: availability, recovery latency, and
-/// goodput versus injected failure rate. Free of wall-clock and
-/// `jobs` fields, so re-runs of the same seed/config are
-/// byte-identical — the determinism gate diffs two of these.
-#[must_use]
-pub fn chaos_report_json(cfg: &ChaosSweepConfig, points: &[ChaosPoint]) -> String {
-    let chaos = cfg.serve.chaos.expect("chaos sweep needs a chaos config");
-    let entries: Vec<String> = points.iter().map(point_json).collect();
-    format!(
-        "{{\n  \"bench\": \"chaos\",\n  \"unit_note\": \"closed-loop fleet sweep over chaos \
-         intensity (percent of the configured per-slice crash/hang rates); availability = \
-         served requests / issued; goodput_rps = served * clock_hz / makespan_cycles; \
-         recovery latency is arrival-to-completion of failed-then-recovered requests, \
-         nearest-rank, ms at the 1.25 GHz device clock\",\n  \"seed\": {},\n  \
-         \"chaos_seed\": {},\n  \"engine\": \"{}\",\n  \"devices\": {},\n  \
-         \"queue_depth\": {},\n  \"quantum\": {},\n  \"crash_ppm\": {},\n  \
-         \"hang_ppm\": {},\n  \"flaky_ppm\": {},\n  \"checkpoint_every\": {},\n  \
-         \"max_attempts\": {},\n  \"deadline\": {},\n  \"shed_floor_pct\": {},\n  \
-         \"requests_per_point\": {},\n  \"clients\": {},\n  \"think_cycles\": {},\n  \
-         \"points\": [\n{}\n  ]\n}}\n",
-        cfg.seed,
-        chaos.seed,
-        cfg.serve.engine.label(),
-        cfg.serve.devices,
-        cfg.serve.queue_depth,
-        cfg.serve.quantum,
-        chaos.crash_ppm,
-        chaos.hang_ppm,
-        chaos.flaky_ppm,
-        chaos.checkpoint_every,
-        chaos.max_attempts,
-        chaos.deadline,
-        chaos.shed_floor_pct,
-        cfg.requests,
-        cfg.clients,
-        cfg.think,
-        entries.join(",\n")
-    )
-}
-
-/// The chaos-smoke acceptance gate: the run held together under
-/// injection. Specifically — every request reached a typed terminal
-/// status; the clean (scale-0) point served everything; availability
-/// stayed at or above `floor_pct` everywhere; the loaded end actually
-/// injected failures; and every failure was either recovered or
-/// accounted terminal (served + failed + rejected = issued).
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first violated
-/// property.
-pub fn chaos_gate(points: &[ChaosPoint], floor_pct: f64) -> Result<(), String> {
-    if points.is_empty() {
-        return Err("chaos sweep produced no points".into());
-    }
-    for p in points {
-        let o = &p.outcome;
-        let mut served = 0usize;
-        let mut failed = 0usize;
-        let mut rejected = 0usize;
-        for r in &o.records {
-            match r.status {
-                Terminal::Pending => {
-                    return Err(format!(
-                        "scale {}%: request {} ended without a terminal status",
-                        p.scale, r.id
-                    ));
-                }
-                Terminal::Completed | Terminal::Recovered { .. } => served += 1,
-                Terminal::Failed { .. } => failed += 1,
-                Terminal::Rejected(_) => rejected += 1,
-            }
-        }
-        if served + failed + rejected != o.records.len() {
-            return Err(format!(
-                "scale {}%: {} served + {} failed + {} rejected ≠ {} issued",
-                p.scale,
-                served,
-                failed,
-                rejected,
-                o.records.len()
-            ));
-        }
-        let avail = availability_pct(o);
-        if p.scale == 0 && served != o.records.len() {
-            return Err(format!(
-                "clean point served only {}/{} requests",
-                served,
-                o.records.len()
-            ));
-        }
-        if avail < floor_pct {
-            return Err(format!(
-                "scale {}%: availability {avail:.2}% below the {floor_pct:.2}% floor",
-                p.scale
-            ));
-        }
-    }
-    let hottest = points.last().expect("non-empty");
-    let c = &hottest.outcome.chaos;
-    if hottest.scale > 0 && c.crashes + c.hang_failures + c.fault_failures == 0 {
-        return Err(format!(
-            "scale {}% injected no failures — the sweep proves nothing",
-            hottest.scale
-        ));
-    }
-    Ok(())
-}
 
 #[cfg(test)]
 mod tests {

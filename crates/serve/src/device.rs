@@ -16,9 +16,6 @@ pub enum Engine {
     /// Event-driven fast-forward ([`System::run_until`]) — exact
     /// cycles, the serving default.
     Fast,
-    /// Cycle-by-cycle reference ([`System::run_naive_until`]) — exact
-    /// cycles, slow; the conformance baseline.
-    Naive,
     /// Two-tier functional ([`System::run_functional_until`]) —
     /// bit-identical architectural results, estimated cycles, pauses
     /// loosely (a slice may overrun its quantum by up to a drain).
@@ -31,7 +28,6 @@ impl Engine {
     pub fn label(self) -> &'static str {
         match self {
             Engine::Fast => "fast",
-            Engine::Naive => "naive",
             Engine::Functional => "functional",
         }
     }
@@ -41,7 +37,6 @@ impl Engine {
     pub fn parse(s: &str) -> Option<Engine> {
         match s {
             "fast" => Some(Engine::Fast),
-            "naive" => Some(Engine::Naive),
             "functional" => Some(Engine::Functional),
             _ => None,
         }
@@ -63,7 +58,6 @@ impl Engine {
     ) -> Result<RunOutcome, SimError> {
         match self {
             Engine::Fast => sys.run_until(pause_at, limit),
-            Engine::Naive => sys.run_naive_until(pause_at, limit),
             Engine::Functional => sys.run_functional_until(pause_at, limit),
         }
     }

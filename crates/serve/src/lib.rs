@@ -27,17 +27,18 @@
 //! * [`chaos`] — the seeded failure model (fault-poisoned devices,
 //!   induced hangs, crashes and decommissions) and the recovery
 //!   policy's knobs: periodic checkpoints, bounded retry with backoff,
-//!   quarantine behind health probes, deadlines, load shedding —
-//!   plus the chaos sweep and `BENCH_chaos.json`.
+//!   quarantine behind health probes, deadlines, load shedding.
 //! * [`durable`] — host-crash durability: the CRC-framed write-ahead
 //!   journal of scheduler events, whole-fleet checkpoints (device
 //!   snapshots, queues, RNG cursors, cache keys), and the
 //!   verified-replay resume behind `--resume` — a resumed run's
 //!   report is byte-identical to an uninterrupted one's.
-//! * [`metrics`] / [`sweep`] — per-request latency records, integer
-//!   nearest-rank percentiles, availability and recovery summaries,
-//!   the offered-load sweep, and the `BENCH_serving.json` report
-//!   (byte-identical for a fixed seed at any `--jobs`).
+//! * [`metrics`] — per-request latency records, integer nearest-rank
+//!   percentiles, availability and recovery summaries.
+//! * [`sweep`] — the one serving sweep, over offered load (client
+//!   counts) or chaos intensity, plain or durable, and its two
+//!   reports, `BENCH_serving.json` and `BENCH_chaos.json`
+//!   (byte-identical for fixed seeds at any `--jobs`).
 
 pub mod cache;
 pub mod chaos;
@@ -50,16 +51,15 @@ pub mod tiles;
 pub mod workload;
 
 pub use cache::ProgramCache;
-pub use chaos::{
-    chaos_gate, chaos_report_json, run_chaos_sweep, run_chaos_sweep_durable, ChaosConfig,
-    ChaosPoint, ChaosStats, ChaosSweepConfig, FailureKind, Terminal,
-};
+pub use chaos::{ChaosConfig, ChaosStats, FailureKind, Terminal};
 pub use device::Engine;
 pub use durable::{run_dir, DurableConfig, DurableError, LoadedPoint, PointStore};
 pub use scheduler::{
     serve, serve_durable, serve_durable_interrupted, Rejection, RequestRecord, ServeConfig,
     ServeOutcome,
 };
-pub use sweep::{gate, report_json, run_sweep, run_sweep_durable, SweepConfig, SweepPoint};
+pub use sweep::{
+    chaos_gate, chaos_report_json, gate, report_json, run_sweep, Axis, SweepConfig, SweepPoint,
+};
 pub use tiles::{StagedJob, TileClass};
 pub use workload::{LoadMode, MixEntry, Workload};

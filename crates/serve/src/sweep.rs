@@ -1,13 +1,15 @@
-//! The offered-load sweep and the `BENCH_serving.json` report.
+//! The serving sweeps and their reports.
 //!
-//! A sweep runs the same seeded closed-loop workload at increasing
-//! client counts until (and past) fleet saturation, one independent
-//! [`serve`] run per point. Points are embarrassingly parallel —
-//! every run owns its devices and RNG streams — so they fan out over
-//! a work-stealing thread pool, with results collected back in input
-//! order. Nothing in the report depends on wall clock or thread
-//! count: the same seed and config produce a byte-identical
-//! `BENCH_serving.json` at any `--jobs`.
+//! A sweep replays one seeded closed-loop workload once per point,
+//! one independent [`serve`] run each, along one of two axes: offered
+//! load (client counts, until and past fleet saturation, reported as
+//! `BENCH_serving.json`) or chaos intensity (percentages of the
+//! configured injection rates, reported as `BENCH_chaos.json`). Points
+//! are embarrassingly parallel — every run owns its devices and RNG
+//! streams — so they fan out over a work-stealing thread pool, with
+//! results collected back in input order. Nothing in either report
+//! depends on wall clock or thread count: the same seeds and config
+//! produce byte-identical reports at any `--jobs`.
 
 use std::fs;
 use std::io;
@@ -16,10 +18,31 @@ use std::sync::Mutex;
 
 use vip_snap::{Fingerprint, Snapshot, Writer};
 
+use crate::chaos::Terminal;
 use crate::durable::{run_dir, DurableConfig, DurableError, PointStore};
-use crate::metrics::{latency_summary, ms, throughput_rps, LatencySummary};
+use crate::metrics::{
+    availability_pct, latency_summary, ms, recovery_summary, throughput_rps, LatencySummary,
+};
 use crate::scheduler::{serve, serve_durable, ServeConfig, ServeOutcome};
 use crate::workload::{LoadMode, MixEntry, Workload};
+
+/// What a sweep varies from point to point.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Axis {
+    /// Concurrent closed-loop clients per point, in order; the fleet
+    /// config (chaos included, if any) runs as given.
+    Clients(Vec<usize>),
+    /// A fixed client count replayed at each chaos intensity, as
+    /// percent of the configured injection rates (0 = clean baseline;
+    /// see [`ChaosConfig::scaled`](crate::ChaosConfig::scaled)). The
+    /// fleet config's chaos is the 100 % point and must be `Some`.
+    ChaosScale {
+        /// Concurrent closed-loop clients at every point.
+        clients: usize,
+        /// Chaos intensity per point, in order.
+        scales: Vec<u32>,
+    },
+}
 
 /// One sweep's shape.
 #[derive(Debug, Clone)]
@@ -32,8 +55,8 @@ pub struct SweepConfig {
     pub requests: usize,
     /// Mean closed-loop think time (cycles).
     pub think: u64,
-    /// Client counts to sweep, in order.
-    pub clients: Vec<usize>,
+    /// What varies across points.
+    pub axis: Axis,
     /// Worker threads for the point fan-out (≥ 1; affects wall clock
     /// only, never results).
     pub jobs: usize,
@@ -42,22 +65,77 @@ pub struct SweepConfig {
 }
 
 impl SweepConfig {
-    /// The run fingerprint durable state is filed under: every
-    /// result-affecting knob of the sweep, absorbed in declaration
-    /// order. `jobs` is deliberately excluded — the fan-out width
-    /// never changes results, so a resumed run may use a different
-    /// one.
+    /// Number of points on the axis.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match &self.axis {
+            Axis::Clients(clients) => clients.len(),
+            Axis::ChaosScale { scales, .. } => scales.len(),
+        }
+    }
+
+    /// Whether the axis has no points.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Point `i`'s client count and chaos scale (100 on the clients
+    /// axis), with the fleet config and workload its run serves.
+    fn point(&self, i: usize) -> (usize, u32, ServeConfig, Workload) {
+        let mut serve = self.serve.clone();
+        let (clients, scale) = match &self.axis {
+            Axis::Clients(clients) => (clients[i], 100),
+            Axis::ChaosScale { clients, scales } => {
+                serve.chaos = serve.chaos.map(|base| base.scaled(scales[i]));
+                (*clients, scales[i])
+            }
+        };
+        let workload = Workload {
+            seed: self.seed,
+            requests: self.requests,
+            mode: LoadMode::Closed {
+                clients,
+                think: self.think,
+            },
+            mix: self.mix.clone(),
+        };
+        (clients, scale, serve, workload)
+    }
+
+    /// The run fingerprint durable state is filed under: the axis kind
+    /// and values and every result-affecting knob of the sweep, so a
+    /// client sweep and a chaos sweep never share a run directory.
+    /// `jobs` is deliberately excluded — the fan-out width never
+    /// changes results, so a resumed run may use a different one. Each
+    /// axis absorbs its knobs in the order its run directories have
+    /// always been named by, so existing durable state still resumes.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let mut f = Fingerprint::new();
-        f.push_bytes(b"serve-sweep");
+        f.push_bytes(match self.axis {
+            Axis::Clients(_) => b"serve-sweep",
+            Axis::ChaosScale { .. } => b"chaos-sweep",
+        });
         self.serve.absorb(&mut f);
         f.push_u64(self.seed);
         f.push_usize(self.requests);
-        f.push_u64(self.think);
-        f.push_usize(self.clients.len());
-        for &c in &self.clients {
-            f.push_usize(c);
+        match &self.axis {
+            Axis::Clients(clients) => {
+                f.push_u64(self.think);
+                f.push_usize(clients.len());
+                for &c in clients {
+                    f.push_usize(c);
+                }
+            }
+            Axis::ChaosScale { clients, scales } => {
+                f.push_usize(*clients);
+                f.push_u64(self.think);
+                f.push_usize(scales.len());
+                for &s in scales {
+                    f.push_u64(u64::from(s));
+                }
+            }
         }
         f.push_usize(self.mix.len());
         for entry in &self.mix {
@@ -76,70 +154,45 @@ impl SweepConfig {
 pub struct SweepPoint {
     /// Concurrent clients at this point.
     pub clients: usize,
+    /// Percent of the configured chaos rates injected here (100 on the
+    /// clients axis, where the config runs as given).
+    pub scale: u32,
     /// The full serving outcome.
     pub outcome: ServeOutcome,
 }
 
-/// Work-stealing fan-out that preserves input order in its results.
-fn pull_points(cfg: &SweepConfig) -> Vec<SweepPoint> {
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<SweepPoint>>> =
-        Mutex::new(cfg.clients.iter().map(|_| None).collect());
-    let workers = cfg.jobs.max(1).min(cfg.clients.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&clients) = cfg.clients.get(i) else {
-                    break;
-                };
-                let workload = Workload {
-                    seed: cfg.seed,
-                    requests: cfg.requests,
-                    mode: LoadMode::Closed {
-                        clients,
-                        think: cfg.think,
-                    },
-                    mix: cfg.mix.clone(),
-                };
-                let outcome = serve(&cfg.serve, &workload);
-                slots.lock().expect("sweep slots")[i] = Some(SweepPoint { clients, outcome });
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("sweep slots")
-        .into_iter()
-        .map(|p| p.expect("every point ran"))
-        .collect()
-}
-
-/// Runs every point of the sweep.
-#[must_use]
-pub fn run_sweep(cfg: &SweepConfig) -> Vec<SweepPoint> {
-    pull_points(cfg)
-}
-
-/// [`run_sweep`] with host-crash durability: each point journals its
-/// scheduler events and checkpoints its fleet under
-/// `run_dir(durable.dir, cfg.fingerprint())`, finished points collapse
-/// to done-records, and with `durable.resume` set a rerun picks every
-/// point up where the crash left it — producing results byte-identical
-/// to an uninterrupted run. Without `resume`, prior state for this
+/// Runs every point of the sweep over a work-stealing pool of
+/// `cfg.jobs` threads, results in input order.
+///
+/// Without `durable`, each point is one plain [`serve`] run. With it,
+/// each point journals its scheduler events and checkpoints its whole
+/// fleet (chaos RNG cursors included) under `run_dir(durable.dir,
+/// cfg.fingerprint())`, finished points collapse to done-records, and
+/// with `durable.resume` set a rerun picks every point up where a
+/// crash left it — producing results byte-identical to an
+/// uninterrupted run. Without `resume`, prior state for this
 /// configuration is wiped first.
 ///
 /// # Errors
 ///
-/// [`DurableError`] when the filesystem refuses a read or write
-/// (corrupt or divergent persisted state is recovered by recomputing,
-/// not reported).
-pub fn run_sweep_durable(
+/// [`DurableError`] when the filesystem refuses a durable read or
+/// write (corrupt or divergent persisted state is recovered by
+/// recomputing, not reported). A run without `durable` never fails.
+///
+/// # Panics
+///
+/// Panics on the chaos-scale axis if `cfg.serve.chaos` is `None` — a
+/// chaos sweep over a fleet with chaos disabled would sweep nothing.
+pub fn run_sweep(
     cfg: &SweepConfig,
-    durable: &DurableConfig,
+    durable: Option<&DurableConfig>,
 ) -> Result<Vec<SweepPoint>, DurableError> {
+    assert!(
+        cfg.serve.chaos.is_some() || matches!(cfg.axis, Axis::Clients(_)),
+        "a chaos-scale sweep needs a chaos config"
+    );
     let fingerprint = cfg.fingerprint();
-    if !durable.resume {
+    if let Some(durable) = durable.filter(|d| !d.resume) {
         let dir = run_dir(&durable.dir, fingerprint);
         if let Err(e) = fs::remove_dir_all(&dir) {
             if e.kind() != io::ErrorKind::NotFound {
@@ -151,32 +204,30 @@ pub fn run_sweep_durable(
             }
         }
     }
+    let n = cfg.len();
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<Result<SweepPoint, DurableError>>>> =
-        Mutex::new(cfg.clients.iter().map(|_| None).collect());
-    let workers = cfg.jobs.max(1).min(cfg.clients.len().max(1));
+        Mutex::new((0..n).map(|_| None).collect());
+    let workers = cfg.jobs.max(1).min(n.max(1));
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&clients) = cfg.clients.get(i) else {
+                if i >= n {
                     break;
+                }
+                let (clients, scale, serve_cfg, workload) = cfg.point(i);
+                let outcome = match durable {
+                    None => Ok(serve(&serve_cfg, &workload)),
+                    Some(d) => PointStore::open(&d.dir, i, fingerprint).and_then(|mut store| {
+                        serve_durable(&serve_cfg, &workload, &mut store, d.checkpoint_every)
+                    }),
                 };
-                let workload = Workload {
-                    seed: cfg.seed,
-                    requests: cfg.requests,
-                    mode: LoadMode::Closed {
-                        clients,
-                        think: cfg.think,
-                    },
-                    mix: cfg.mix.clone(),
-                };
-                let result =
-                    PointStore::open(&durable.dir, i, fingerprint).and_then(|mut store| {
-                        serve_durable(&cfg.serve, &workload, &mut store, durable.checkpoint_every)
-                            .map(|outcome| SweepPoint { clients, outcome })
-                    });
-                slots.lock().expect("sweep slots")[i] = Some(result);
+                slots.lock().expect("sweep slots")[i] = Some(outcome.map(|outcome| SweepPoint {
+                    clients,
+                    scale,
+                    outcome,
+                }));
             });
         }
     });
@@ -301,6 +352,168 @@ pub fn gate(points: &[SweepPoint], requests: usize) -> Result<(), String> {
             first.clients,
             p99(last),
             last.clients
+        ));
+    }
+    Ok(())
+}
+
+fn chaos_point_json(p: &SweepPoint) -> String {
+    let o = &p.outcome;
+    let served = o.records.iter().filter(|r| r.status.is_served()).count();
+    let recovered = o
+        .records
+        .iter()
+        .filter(|r| matches!(r.status, Terminal::Recovered { .. }))
+        .count();
+    let rec_lat = recovery_summary(o);
+    let c = &o.chaos;
+    format!(
+        "    {{\"scale_pct\": {}, \"issued\": {}, \"served\": {}, \"recovered\": {}, \
+         \"failed\": {}, \"timeouts\": {}, \"shed\": {}, \"rejections\": {}, \
+         \"availability_pct\": {:.4}, \"goodput_rps\": {:.2}, \
+         \"recovery_p50_ms\": {:.4}, \"recovery_p99_ms\": {:.4}, \
+         \"crashes\": {}, \"induced_hangs\": {}, \"hang_failures\": {}, \
+         \"fault_failures\": {}, \"job_retries\": {}, \"recoveries_snapshot\": {}, \
+         \"recoveries_restart\": {}, \"quarantines\": {}, \"probes\": {}, \
+         \"probe_failures\": {}, \"decommissions\": {}, \"makespan_cycles\": {}}}",
+        p.scale,
+        o.records.len(),
+        served,
+        recovered,
+        c.failed,
+        c.timeouts,
+        c.shed,
+        o.rejections,
+        availability_pct(o),
+        throughput_rps(o),
+        ms(rec_lat.map_or(0, |l| l.p50)),
+        ms(rec_lat.map_or(0, |l| l.p99)),
+        c.crashes,
+        c.induced_hangs,
+        c.hang_failures,
+        c.fault_failures,
+        c.job_retries,
+        c.recoveries_snapshot,
+        c.recoveries_restart,
+        c.quarantines,
+        c.probes,
+        c.probe_failures,
+        c.decommissions,
+        o.makespan,
+    )
+}
+
+/// Renders `BENCH_chaos.json`: availability, recovery latency, and
+/// goodput versus injected failure rate. Free of wall-clock and
+/// `jobs` fields, so re-runs of the same seed/config are
+/// byte-identical — the determinism gate diffs two of these.
+///
+/// # Panics
+///
+/// Panics unless `cfg` is a chaos-scale sweep with a chaos config.
+#[must_use]
+pub fn chaos_report_json(cfg: &SweepConfig, points: &[SweepPoint]) -> String {
+    let chaos = cfg.serve.chaos.expect("chaos sweep needs a chaos config");
+    let Axis::ChaosScale { clients, .. } = cfg.axis else {
+        panic!("chaos report needs a chaos-scale sweep");
+    };
+    let entries: Vec<String> = points.iter().map(chaos_point_json).collect();
+    format!(
+        "{{\n  \"bench\": \"chaos\",\n  \"unit_note\": \"closed-loop fleet sweep over chaos \
+         intensity (percent of the configured per-slice crash/hang rates); availability = \
+         served requests / issued; goodput_rps = served * clock_hz / makespan_cycles; \
+         recovery latency is arrival-to-completion of failed-then-recovered requests, \
+         nearest-rank, ms at the 1.25 GHz device clock\",\n  \"seed\": {},\n  \
+         \"chaos_seed\": {},\n  \"engine\": \"{}\",\n  \"devices\": {},\n  \
+         \"queue_depth\": {},\n  \"quantum\": {},\n  \"crash_ppm\": {},\n  \
+         \"hang_ppm\": {},\n  \"flaky_ppm\": {},\n  \"checkpoint_every\": {},\n  \
+         \"max_attempts\": {},\n  \"deadline\": {},\n  \"shed_floor_pct\": {},\n  \
+         \"requests_per_point\": {},\n  \"clients\": {},\n  \"think_cycles\": {},\n  \
+         \"points\": [\n{}\n  ]\n}}\n",
+        cfg.seed,
+        chaos.seed,
+        cfg.serve.engine.label(),
+        cfg.serve.devices,
+        cfg.serve.queue_depth,
+        cfg.serve.quantum,
+        chaos.crash_ppm,
+        chaos.hang_ppm,
+        chaos.flaky_ppm,
+        chaos.checkpoint_every,
+        chaos.max_attempts,
+        chaos.deadline,
+        chaos.shed_floor_pct,
+        cfg.requests,
+        clients,
+        cfg.think,
+        entries.join(",\n")
+    )
+}
+
+/// The chaos-smoke acceptance gate: the run held together under
+/// injection. Specifically — every request reached a typed terminal
+/// status; the clean (scale-0) point served everything; availability
+/// stayed at or above `floor_pct` everywhere; the loaded end actually
+/// injected failures; and every failure was either recovered or
+/// accounted terminal (served + failed + rejected = issued).
+///
+/// # Errors
+///
+/// Returns a human-readable description of the first violated
+/// property.
+pub fn chaos_gate(points: &[SweepPoint], floor_pct: f64) -> Result<(), String> {
+    if points.is_empty() {
+        return Err("chaos sweep produced no points".into());
+    }
+    for p in points {
+        let o = &p.outcome;
+        let mut served = 0usize;
+        let mut failed = 0usize;
+        let mut rejected = 0usize;
+        for r in &o.records {
+            match r.status {
+                Terminal::Pending => {
+                    return Err(format!(
+                        "scale {}%: request {} ended without a terminal status",
+                        p.scale, r.id
+                    ));
+                }
+                Terminal::Completed | Terminal::Recovered { .. } => served += 1,
+                Terminal::Failed { .. } => failed += 1,
+                Terminal::Rejected(_) => rejected += 1,
+            }
+        }
+        if served + failed + rejected != o.records.len() {
+            return Err(format!(
+                "scale {}%: {} served + {} failed + {} rejected ≠ {} issued",
+                p.scale,
+                served,
+                failed,
+                rejected,
+                o.records.len()
+            ));
+        }
+        let avail = availability_pct(o);
+        if p.scale == 0 && served != o.records.len() {
+            return Err(format!(
+                "clean point served only {}/{} requests",
+                served,
+                o.records.len()
+            ));
+        }
+        if avail < floor_pct {
+            return Err(format!(
+                "scale {}%: availability {avail:.2}% below the {floor_pct:.2}% floor",
+                p.scale
+            ));
+        }
+    }
+    let hottest = points.last().expect("non-empty");
+    let c = &hottest.outcome.chaos;
+    if hottest.scale > 0 && c.crashes + c.hang_failures + c.fault_failures == 0 {
+        return Err(format!(
+            "scale {}% injected no failures — the sweep proves nothing",
+            hottest.scale
         ));
     }
     Ok(())

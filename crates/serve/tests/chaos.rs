@@ -10,8 +10,8 @@
 //! * **Recovery conformance**: every request a chaos run serves —
 //!   including failed-then-recovered jobs restored from a periodic
 //!   snapshot onto a different device — hashes bit-identically to its
-//!   unperturbed twin from a clean run of the same workload, on all
-//!   three stepping engines.
+//!   unperturbed twin from a clean run of the same workload, on both
+//!   stepping engines.
 //! * **Coverage**: under the default test seeds every injected
 //!   failure class actually fires (crashes, induced hangs, machine
 //!   checks from fault-poisoned devices), both recovery paths run
@@ -23,8 +23,8 @@ use std::collections::HashMap;
 
 use vip_rng::for_each_seed;
 use vip_serve::{
-    chaos_gate, chaos_report_json, run_chaos_sweep, serve, ChaosConfig, ChaosSweepConfig, Engine,
-    FailureKind, LoadMode, Rejection, ServeConfig, ServeOutcome, Terminal, Workload,
+    chaos_gate, chaos_report_json, run_sweep, serve, Axis, ChaosConfig, Engine, FailureKind,
+    LoadMode, Rejection, ServeConfig, ServeOutcome, SweepConfig, Terminal, Workload,
 };
 
 /// A small fleet with slices short enough that every job spans
@@ -173,7 +173,7 @@ fn chaos_runs_are_deterministic_and_cover_every_failure_class() {
 #[test]
 fn recovered_results_match_unperturbed_twins_on_every_engine() {
     let mut recoveries = 0u64;
-    for engine in [Engine::Fast, Engine::Naive, Engine::Functional] {
+    for engine in [Engine::Fast, Engine::Functional] {
         let wl = closed(0xf417, 12, 4);
         // The unperturbed twin: same workload, chaos off. batch_max is
         // 1 throughout, so every request of a class computes the same
@@ -211,26 +211,28 @@ fn recovered_results_match_unperturbed_twins_on_every_engine() {
         }
     }
     // At least one failed-then-recovered request proved the bit-exact
-    // claim somewhere across the three engines.
+    // claim somewhere across the two engines.
     assert!(recoveries > 0, "no engine exercised a recovery");
 }
 
 #[test]
 fn chaos_report_is_jobs_independent_and_gated() {
-    let sweep = |jobs: usize| ChaosSweepConfig {
+    let sweep = |jobs: usize| SweepConfig {
         serve: fleet(Engine::Fast, Some(hot_chaos(0xbad5eed))),
         seed: 0xa11ce,
         requests: 12,
-        clients: 4,
         think: 20_000,
-        scales: vec![0, 50, 100],
+        axis: Axis::ChaosScale {
+            clients: 4,
+            scales: vec![0, 50, 100],
+        },
         jobs,
         mix: Workload::small_mix(),
     };
     let serial_cfg = sweep(1);
-    let serial = run_chaos_sweep(&serial_cfg);
+    let serial = run_sweep(&serial_cfg, None).expect("plain chaos sweep");
     let parallel_cfg = sweep(4);
-    let parallel = run_chaos_sweep(&parallel_cfg);
+    let parallel = run_sweep(&parallel_cfg, None).expect("plain chaos sweep");
     chaos_gate(&serial, 40.0).expect("chaos sweep passes the gate");
     assert_eq!(
         chaos_report_json(&serial_cfg, &serial),

@@ -14,10 +14,9 @@ use std::path::{Path, PathBuf};
 
 use vip_rng::SplitMix64;
 use vip_serve::{
-    chaos_report_json, report_json, run_chaos_sweep, run_chaos_sweep_durable, run_dir, run_sweep,
-    run_sweep_durable, serve, serve_durable, serve_durable_interrupted, ChaosConfig,
-    ChaosSweepConfig, DurableConfig, Engine, LoadMode, PointStore, ServeConfig, ServeOutcome,
-    SweepConfig, Workload,
+    chaos_report_json, report_json, run_dir, run_sweep, serve, serve_durable,
+    serve_durable_interrupted, Axis, ChaosConfig, DurableConfig, Engine, LoadMode, PointStore,
+    ServeConfig, ServeOutcome, SweepConfig, Workload,
 };
 
 fn scratch(tag: &str) -> PathBuf {
@@ -352,29 +351,29 @@ fn sweep_durable_report_matches_plain_sweep() {
         seed: 0xa11ce,
         requests: 10,
         think: 20_000,
-        clients: vec![1, 2, 4],
+        axis: Axis::Clients(vec![1, 2, 4]),
         jobs: 2,
         mix: Workload::small_mix(),
     };
-    let plain = run_sweep(&cfg);
+    let plain = run_sweep(&cfg, None).expect("plain sweep");
     let durable = DurableConfig {
         dir: root.clone(),
         checkpoint_every: 64,
         resume: false,
     };
-    let points = run_sweep_durable(&cfg, &durable).expect("durable sweep");
+    let points = run_sweep(&cfg, Some(&durable)).expect("durable sweep");
     assert_eq!(
         report_json(&cfg, &points),
         report_json(&cfg, &plain),
         "durable sweep report differs"
     );
     // Resuming a finished sweep replays done-records only.
-    let resumed = run_sweep_durable(
+    let resumed = run_sweep(
         &cfg,
-        &DurableConfig {
+        Some(&DurableConfig {
             resume: true,
             ..durable
-        },
+        }),
     )
     .expect("resumed sweep");
     assert_eq!(report_json(&cfg, &resumed), report_json(&cfg, &plain));
@@ -392,17 +391,17 @@ fn flipped_done_record_counter_recomputes_to_an_identical_report() {
         seed: 0xf11b,
         requests: 10,
         think: 20_000,
-        clients: vec![1, 4],
+        axis: Axis::Clients(vec![1, 4]),
         jobs: 2,
         mix: Workload::small_mix(),
     };
-    let plain = run_sweep(&cfg);
+    let plain = run_sweep(&cfg, None).expect("plain sweep");
     let durable = DurableConfig {
         dir: root.clone(),
         checkpoint_every: 64,
         resume: false,
     };
-    run_sweep_durable(&cfg, &durable).expect("durable sweep");
+    run_sweep(&cfg, Some(&durable)).expect("durable sweep");
 
     // The outcome ends with `cache_hits`, `cache_misses` and the 14
     // chaos counters, all u64: flip the low byte of `cache_hits`.
@@ -420,14 +419,14 @@ fn flipped_done_record_counter_recomputes_to_an_identical_report() {
             records += 1;
         }
     }
-    assert_eq!(records, cfg.clients.len(), "one done-record per point");
+    assert_eq!(records, cfg.len(), "one done-record per point");
 
-    let resumed = run_sweep_durable(
+    let resumed = run_sweep(
         &cfg,
-        &DurableConfig {
+        Some(&DurableConfig {
             resume: true,
             ..durable
-        },
+        }),
     )
     .expect("resumed sweep");
     assert_eq!(
@@ -441,27 +440,71 @@ fn flipped_done_record_counter_recomputes_to_an_identical_report() {
 #[test]
 fn chaos_sweep_durable_report_matches_plain_sweep() {
     let root = scratch("chaos-sweep");
-    let cfg = ChaosSweepConfig {
+    let cfg = SweepConfig {
         serve: fleet(Some(hot_chaos(0xbad5eed))),
         seed: 0xa11ce,
         requests: 10,
-        clients: 4,
         think: 20_000,
-        scales: vec![0, 100],
+        axis: Axis::ChaosScale {
+            clients: 4,
+            scales: vec![0, 100],
+        },
         jobs: 2,
         mix: Workload::small_mix(),
     };
-    let plain = run_chaos_sweep(&cfg);
+    let plain = run_sweep(&cfg, None).expect("plain chaos sweep");
     let durable = DurableConfig {
         dir: root.clone(),
         checkpoint_every: 64,
         resume: false,
     };
-    let points = run_chaos_sweep_durable(&cfg, &durable).expect("durable chaos sweep");
+    let points = run_sweep(&cfg, Some(&durable)).expect("durable chaos sweep");
     assert_eq!(
         chaos_report_json(&cfg, &points),
         chaos_report_json(&cfg, &plain),
         "durable chaos sweep report differs"
     );
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The fingerprint names a sweep's run directory, so two sweeps that
+/// could produce different points must never share one: the axis kind,
+/// the client list and the scale list each separate fingerprints,
+/// while the fan-out width (`jobs`) never does.
+#[test]
+fn sweep_fingerprint_separates_axes_and_ignores_jobs() {
+    let sweep = |axis: Axis, jobs: usize| SweepConfig {
+        serve: fleet(Some(hot_chaos(0xbad5eed))),
+        seed: 0xa11ce,
+        requests: 10,
+        think: 20_000,
+        axis,
+        jobs,
+        mix: Workload::small_mix(),
+    };
+    let fp = |axis: Axis| sweep(axis, 1).fingerprint();
+    let chaos = |clients: usize, scales: &[u32]| Axis::ChaosScale {
+        clients,
+        scales: scales.to_vec(),
+    };
+    // Axis kind alone: one client count at the same "value" either way.
+    assert_ne!(fp(Axis::Clients(vec![4])), fp(chaos(4, &[100])));
+    assert_ne!(fp(Axis::Clients(vec![0])), fp(chaos(0, &[])));
+    // The client list.
+    assert_ne!(fp(Axis::Clients(vec![1, 2])), fp(Axis::Clients(vec![1, 4])));
+    assert_ne!(
+        fp(Axis::Clients(vec![1, 2])),
+        fp(Axis::Clients(vec![1, 2, 4]))
+    );
+    assert_ne!(fp(chaos(4, &[0, 100])), fp(chaos(6, &[0, 100])));
+    // The scale list.
+    assert_ne!(fp(chaos(4, &[0, 100])), fp(chaos(4, &[0, 50])));
+    assert_ne!(fp(chaos(4, &[0, 100])), fp(chaos(4, &[0, 100, 200])));
+    // Equal configs agree at any fan-out width.
+    for axis in [Axis::Clients(vec![1, 2, 4]), chaos(4, &[0, 25, 100])] {
+        assert_eq!(
+            sweep(axis.clone(), 1).fingerprint(),
+            sweep(axis, 4).fingerprint()
+        );
+    }
 }

@@ -8,7 +8,7 @@
 
 use vip_rng::for_each_seed;
 use vip_serve::{
-    gate, report_json, run_sweep, serve, ChaosStats, LoadMode, Rejection, ServeConfig,
+    gate, report_json, run_sweep, serve, Axis, ChaosStats, LoadMode, Rejection, ServeConfig,
     ServeOutcome, SweepConfig, Terminal, Workload,
 };
 
@@ -251,14 +251,14 @@ fn sweep_report_is_jobs_independent() {
         seed: 0xa11ce,
         requests: 10,
         think: 20_000,
-        clients: vec![1, 4],
+        axis: Axis::Clients(vec![1, 4]),
         jobs,
         mix: Workload::small_mix(),
     };
     let serial_cfg = sweep(1);
-    let serial = run_sweep(&serial_cfg);
+    let serial = run_sweep(&serial_cfg, None).expect("plain sweep");
     let parallel_cfg = sweep(4);
-    let parallel = run_sweep(&parallel_cfg);
+    let parallel = run_sweep(&parallel_cfg, None).expect("plain sweep");
     gate(&serial, serial_cfg.requests).expect("serial sweep passes the gate");
     // Same seed + same config ⇒ byte-identical report at any --jobs.
     assert_eq!(
